@@ -397,10 +397,12 @@ fn run(program: &Program, input_path: Option<&str>, opt_level: u8) -> ExitCode {
     print!("{}", out.stdout());
     eprintln!("[exit {} after {} steps]", out.exit_code, out.steps);
     if let Some(stats) = stats {
-        eprintln!(
-            "[-O{opt_level}: {} inlined, {} folded, {} blocks dropped, {} fused]",
-            stats.inlined_calls, stats.folded, stats.dce_blocks, stats.fused
-        );
+        let counts: Vec<String> = stats
+            .fields()
+            .iter()
+            .map(|(name, n)| format!("{n} {}", name.trim_start_matches("opt.")))
+            .collect();
+        eprintln!("[-O{opt_level}: {}]", counts.join(", "));
     }
 
     // Estimate-vs-actual summary.

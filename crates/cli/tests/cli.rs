@@ -26,9 +26,14 @@ fn demo_file() -> tempfile::NamedFile {
     f
 }
 
-// A tiny self-cleaning temp file helper (no external crates).
+// A tiny self-cleaning temp file helper (no external crates). Each
+// file gets its own path: the tests run in parallel threads of one
+// process, and a shared path would be deleted under a running test.
 mod tempfile {
     use std::path::PathBuf;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
 
     pub struct NamedFile {
         path: PathBuf,
@@ -37,7 +42,8 @@ mod tempfile {
     impl NamedFile {
         pub fn new(name: &str) -> Self {
             let mut path = std::env::temp_dir();
-            path.push(format!("sfe-test-{}-{name}", std::process::id()));
+            let n = NEXT.fetch_add(1, Ordering::Relaxed);
+            path.push(format!("sfe-test-{}-{n}-{name}", std::process::id()));
             NamedFile { path }
         }
 
@@ -95,6 +101,28 @@ fn run_executes_and_scores() {
     assert!(out.status.success());
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("weight-matching"), "{err}");
+}
+
+#[test]
+fn optimized_run_reports_every_pass_counter() {
+    let f = demo_file();
+    let out = sfe(&["--opt-level", "3", "run", f.path()]);
+    assert!(out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    let summary = err
+        .lines()
+        .find(|l| l.starts_with("[-O3: "))
+        .unwrap_or_else(|| panic!("no -O3 summary in {err}"));
+    for name in [
+        "inlined_calls",
+        "folded",
+        "dce_blocks",
+        "dce_ops",
+        "fused",
+        "mined",
+    ] {
+        assert!(summary.contains(name), "{name} missing from {summary}");
+    }
 }
 
 #[test]

@@ -6,7 +6,7 @@
 //! bytecode into a chunk IR ([`ir`]), runs a classic scalar pipeline
 //! over the functions selected by an [`OptPlan`] — inlining, constant
 //! folding and branch simplification, dead-code elimination,
-//! superinstruction fusion, hot-path layout ([`passes`],
+//! superinstruction fusion and mining, hot-path layout ([`passes`],
 //! [`inline`]) — and recosts the result under a dispatch-cost model so
 //! the VM's `steps` counter measures what the optimizer saved.
 //!
@@ -16,10 +16,13 @@
 //! `func_cost` — the quantities being optimized — change. The fuzzer's
 //! differential oracle holds every optimized program to that contract.
 //!
-//! Pass order: inline → fold → dce → fuse → layout → recost → lower.
-//! Inlining first exposes the callee body to the caller's folding;
-//! layout runs before recost so dropped fallthrough jumps are never
-//! charged; recost runs last over the final op sequence.
+//! Pass order: inline → fold → dce → fuse → mine → layout → recost →
+//! lower. One private stage table fixes the order and the levels each
+//! stage runs at; [`optimize`], [`stage_snapshots`] and
+//! [`digram_stats`] all walk it. Inlining first exposes the callee
+//! body to the caller's folding; layout runs before recost so dropped
+//! fallthrough jumps are never charged; recost runs last over the
+//! final op sequence.
 
 #![warn(missing_docs)]
 
@@ -29,7 +32,9 @@ pub mod ir;
 pub mod ops_info;
 pub mod passes;
 
+use ir::FuncIr;
 use profiler::bytecode::{CompiledProgram, NONE32};
+use std::ops::RangeInclusive;
 
 /// Version of the pass pipeline, part of every optimized-artifact
 /// cache key: bump when a pass changes observable shape or costs.
@@ -42,7 +47,8 @@ pub const PASS_PIPELINE_VERSION: u32 = 2;
 #[derive(Debug, Clone)]
 pub struct OptPlan {
     /// Optimization level: 0 = identity, 1 = fold + branch
-    /// simplification + DCE + recost, 2 = + fusion + layout,
+    /// simplification + DCE + fallthrough-jump removal + recost,
+    /// 2 = + superinstruction fusion and mining + hot-path layout,
     /// 3 = + inlining.
     pub level: u8,
     /// Per-`FuncId` budget membership: only these functions are
@@ -95,166 +101,187 @@ pub struct OptStats {
     pub mined: u64,
 }
 
+impl OptStats {
+    /// Every counter with its obs counter name (`opt.<field>`), in
+    /// declaration order — the one list that [`optimize`]'s telemetry
+    /// and reports iterate.
+    pub fn fields(&self) -> [(&'static str, u64); 6] {
+        [
+            ("opt.inlined_calls", self.inlined_calls),
+            ("opt.folded", self.folded),
+            ("opt.dce_blocks", self.dce_blocks),
+            ("opt.dce_ops", self.dce_ops),
+            ("opt.fused", self.fused),
+            ("opt.mined", self.mined),
+        ]
+    }
+}
+
+/// One pipeline stage: a pass applied to every lifted function (or,
+/// for inlining, across them), run at the plan levels in `levels`.
+struct Stage {
+    name: &'static str,
+    levels: RangeInclusive<u8>,
+    run: fn(&CompiledProgram, &OptPlan, &mut [Option<FuncIr>], &mut OptStats),
+}
+
+/// The pass pipeline, in order: the single source of which stages run
+/// at which level. Inlining first exposes callee bodies to the
+/// caller's folding; `fuse` precedes `mine` because `mine`'s
+/// `LoadIdxLR` pattern consumes the `LoadIdx` that `fuse` produces.
+/// Recost and lowering follow the last stage (see [`lower`]).
+const STAGES: &[Stage] = &[
+    Stage {
+        name: "inline",
+        levels: 3..=u8::MAX,
+        run: |cp, plan, irs, stats| stats.inlined_calls += run_inliner(cp, plan, irs),
+    },
+    Stage {
+        name: "fold",
+        levels: 1..=u8::MAX,
+        run: |cp, _, irs, stats| stats.folded += each(irs, |f_ir| passes::fold(f_ir, cp)),
+    },
+    Stage {
+        name: "dce",
+        levels: 1..=u8::MAX,
+        run: |_, _, irs, stats| {
+            for f_ir in irs.iter_mut().flatten() {
+                let (blocks, ops) = passes::dce(f_ir);
+                stats.dce_blocks += blocks;
+                stats.dce_ops += ops;
+            }
+        },
+    },
+    Stage {
+        name: "fuse",
+        levels: 2..=u8::MAX,
+        run: |_, _, irs, stats| stats.fused += each(irs, passes::fuse),
+    },
+    Stage {
+        name: "mine",
+        levels: 2..=u8::MAX,
+        run: |_, _, irs, stats| stats.mined += each(irs, passes::mine),
+    },
+    // Level 1 keeps program chunk order and only drops fallthrough
+    // jumps; level 2 and up lay out hot paths first.
+    Stage {
+        name: "layout",
+        levels: 1..=1,
+        run: |_, _, irs, _| irs.iter_mut().flatten().for_each(ir::drop_redundant_jumps),
+    },
+    Stage {
+        name: "layout",
+        levels: 2..=u8::MAX,
+        run: |_, _, irs, _| irs.iter_mut().flatten().for_each(passes::layout),
+    },
+];
+
+/// Runs a counting pass over every lifted function; returns the sum.
+fn each(irs: &mut [Option<FuncIr>], pass: impl FnMut(&mut FuncIr) -> u64) -> u64 {
+    irs.iter_mut().flatten().map(pass).sum()
+}
+
 /// Optimizes `cp` according to `plan`, returning the rewritten
 /// program and what each pass did. The input is never mutated; at
 /// level 0 (or an empty budget) the result is a verbatim clone.
 pub fn optimize(cp: &CompiledProgram, plan: &OptPlan) -> (CompiledProgram, OptStats) {
     let _sp = obs::span("opt.optimize");
-    let Some((mut irs, stats)) = run_passes(cp, plan) else {
+    let Some((irs, stats)) = run_stages(cp, plan, |_, _| {}) else {
         return (cp.clone(), OptStats::default());
     };
-    for f_ir in irs.iter_mut().flatten() {
-        passes::recost(f_ir);
-    }
-    let out = ir::lower(cp, &irs, &pack_order(cp, plan));
-
-    if obs::enabled() {
-        obs::counter_add("opt.inlined_calls", stats.inlined_calls);
-        obs::counter_add("opt.folded", stats.folded);
-        obs::counter_add("opt.dce_blocks", stats.dce_blocks);
-        obs::counter_add("opt.dce_ops", stats.dce_ops);
-        obs::counter_add("opt.fused", stats.fused);
-        obs::counter_add("opt.mined", stats.mined);
+    let out = lower(cp, plan, irs, true);
+    for (name, n) in stats.fields() {
+        obs::counter_add(name, n);
     }
     (out, stats)
 }
 
-/// Lift + scalar passes up to layout (everything except recost and
-/// lowering). `None` means the plan is an identity transform.
-fn run_passes(cp: &CompiledProgram, plan: &OptPlan) -> Option<(Vec<Option<ir::FuncIr>>, OptStats)> {
-    let mut stats = OptStats::default();
-    let budgeted = |f: usize| {
-        plan.level >= 1
-            && plan.budgeted.get(f).copied().unwrap_or(false)
-            && cp.funcs[f].entry != NONE32
-            && cp.funcs[f].code.1 > cp.funcs[f].code.0
-    };
-    if plan.level == 0 || !(0..cp.funcs.len()).any(budgeted) {
-        return None;
-    }
-
-    let mut irs: Vec<Option<ir::FuncIr>> = (0..cp.funcs.len())
+/// Lifts the functions `plan` budgets — those with a body — with the
+/// plan's block frequencies; the rest stay `None` (copied verbatim at
+/// lowering).
+fn lift(cp: &CompiledProgram, plan: &OptPlan) -> Vec<Option<FuncIr>> {
+    (0..cp.funcs.len())
         .map(|f| {
-            budgeted(f).then(|| {
+            let meta = &cp.funcs[f];
+            let budgeted = plan.budgeted.get(f).copied().unwrap_or(false)
+                && meta.entry != NONE32
+                && meta.code.1 > meta.code.0;
+            budgeted.then(|| {
                 let freqs = plan.block_freqs.get(f).map(Vec::as_slice).unwrap_or(&[]);
                 ir::lift(cp, f, freqs)
             })
         })
-        .collect();
+        .collect()
+}
 
-    if plan.level >= 3 {
-        stats.inlined_calls = run_inliner(cp, plan, &mut irs);
-    }
-    for f_ir in irs.iter_mut().flatten() {
-        stats.folded += passes::fold(f_ir, cp);
-        let (blocks, ops) = passes::dce(f_ir);
-        stats.dce_blocks += blocks;
-        stats.dce_ops += ops;
-        if plan.level >= 2 {
-            stats.fused += passes::fuse(f_ir);
-            stats.mined += passes::mine(f_ir);
-            passes::layout(f_ir);
-        } else {
-            ir::drop_redundant_jumps(f_ir);
-        }
+/// The pipeline driver: lifts once, then runs each [`STAGES`] entry
+/// enabled at the plan's level across all functions, handing
+/// `after_stage` the stage's name and the IR it left. `None` means the
+/// plan is an identity transform.
+fn run_stages(
+    cp: &CompiledProgram,
+    plan: &OptPlan,
+    mut after_stage: impl FnMut(&'static str, &[Option<FuncIr>]),
+) -> Option<(Vec<Option<FuncIr>>, OptStats)> {
+    let mut irs = (plan.level > 0)
+        .then(|| lift(cp, plan))
+        .filter(|irs| irs.iter().any(Option::is_some))?;
+    let mut stats = OptStats::default();
+    for stage in STAGES.iter().filter(|s| s.levels.contains(&plan.level)) {
+        (stage.run)(cp, plan, &mut irs, &mut stats);
+        after_stage(stage.name, &irs);
     }
     Some((irs, stats))
+}
+
+/// Recosts every transformed function over its final op sequence and
+/// lowers the program. With `pack` at level 2 and up, function bodies
+/// are emitted hottest first (cross-function hot packing: bytecode
+/// locality; `FuncId` indexing is unaffected). Heat is the plan's
+/// whole-run block-frequency mass; functions without frequency
+/// information keep their relative program order at the back.
+fn lower(
+    cp: &CompiledProgram,
+    plan: &OptPlan,
+    mut irs: Vec<Option<FuncIr>>,
+    pack: bool,
+) -> CompiledProgram {
+    for f_ir in irs.iter_mut().flatten() {
+        passes::recost(f_ir);
+    }
+    let mut order: Vec<usize> = (0..cp.funcs.len()).collect();
+    if pack && plan.level >= 2 {
+        let heat = |f: usize| {
+            plan.block_freqs
+                .get(f)
+                .map_or(0.0, |b| b.iter().sum::<f64>())
+        };
+        order.sort_by(|&a, &b| heat(b).total_cmp(&heat(a)).then(a.cmp(&b)));
+    }
+    ir::lower(cp, &irs, &order)
 }
 
 /// Lowered, executable snapshots after each pipeline stage, for
 /// per-pass step attribution (the bench trajectory's `opt/v2` rows).
 ///
 /// Stages are applied cumulatively — each snapshot includes every
-/// stage before it — and run stage-wise across all budgeted functions
-/// rather than function-wise; since the scalar passes never look
-/// across function boundaries (inlining has already happened), the
-/// final snapshot is identical to [`optimize`]'s output. Stages the
-/// plan's level disables are simply absent. Every snapshot is
-/// recosted, so step deltas between consecutive snapshots attribute
-/// saved VM steps to exactly one pass.
+/// stage before it — by the same driver as [`optimize`]. The final
+/// snapshot is [`optimize`]'s output, and the only one lowered with
+/// hot functions packed first. Stages the plan's level disables are
+/// simply absent. Every snapshot is recosted, so step deltas between
+/// consecutive snapshots attribute saved VM steps to exactly one pass.
 pub fn stage_snapshots(
     cp: &CompiledProgram,
     plan: &OptPlan,
 ) -> Vec<(&'static str, CompiledProgram)> {
-    let budgeted = |f: usize| {
-        plan.level >= 1
-            && plan.budgeted.get(f).copied().unwrap_or(false)
-            && cp.funcs[f].entry != NONE32
-            && cp.funcs[f].code.1 > cp.funcs[f].code.0
-    };
-    if plan.level == 0 || !(0..cp.funcs.len()).any(budgeted) {
-        return Vec::new();
-    }
-    let mut irs: Vec<Option<ir::FuncIr>> = (0..cp.funcs.len())
-        .map(|f| {
-            budgeted(f).then(|| {
-                let freqs = plan.block_freqs.get(f).map(Vec::as_slice).unwrap_or(&[]);
-                ir::lift(cp, f, freqs)
-            })
-        })
-        .collect();
-    let identity: Vec<usize> = (0..cp.funcs.len()).collect();
-    let snap = |irs: &[Option<ir::FuncIr>], order: &[usize]| {
-        let mut copy: Vec<Option<ir::FuncIr>> = irs.to_vec();
-        for f_ir in copy.iter_mut().flatten() {
-            passes::recost(f_ir);
-        }
-        ir::lower(cp, &copy, order)
-    };
-
-    let mut out = Vec::new();
-    if plan.level >= 3 {
-        run_inliner(cp, plan, &mut irs);
-        out.push(("inline", snap(&irs, &identity)));
-    }
-    for f_ir in irs.iter_mut().flatten() {
-        passes::fold(f_ir, cp);
-    }
-    out.push(("fold", snap(&irs, &identity)));
-    for f_ir in irs.iter_mut().flatten() {
-        passes::dce(f_ir);
-    }
-    out.push(("dce", snap(&irs, &identity)));
-    if plan.level >= 2 {
-        for f_ir in irs.iter_mut().flatten() {
-            passes::fuse(f_ir);
-        }
-        out.push(("fuse", snap(&irs, &identity)));
-        for f_ir in irs.iter_mut().flatten() {
-            passes::mine(f_ir);
-        }
-        out.push(("mine", snap(&irs, &identity)));
-        for f_ir in irs.iter_mut().flatten() {
-            passes::layout(f_ir);
-        }
-        out.push(("layout", snap(&irs, &pack_order(cp, plan))));
-    } else {
-        for f_ir in irs.iter_mut().flatten() {
-            ir::drop_redundant_jumps(f_ir);
-        }
-        out.push(("layout", snap(&irs, &identity)));
-    }
-    out
-}
-
-/// Function emission order for cross-function hot packing: bodies of
-/// hot functions cluster at the front of the flat op stream (bytecode
-/// locality; `FuncId` indexing is unaffected). Heat is the plan's
-/// whole-run block-frequency mass; functions without frequency
-/// information keep their relative program order at the back.
-fn pack_order(cp: &CompiledProgram, plan: &OptPlan) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..cp.funcs.len()).collect();
-    if plan.level < 2 {
-        return order;
-    }
-    let heat = |f: usize| -> f64 {
-        plan.block_freqs
-            .get(f)
-            .map(|b| b.iter().sum())
-            .unwrap_or(0.0)
-    };
-    order.sort_by(|&a, &b| heat(b).total_cmp(&heat(a)).then(a.cmp(&b)));
-    order
+    let mut staged = Vec::new();
+    run_stages(cp, plan, |name, irs| staged.push((name, irs.to_vec())));
+    let n = staged.len();
+    staged
+        .into_iter()
+        .enumerate()
+        .map(|(i, (name, irs))| (name, lower(cp, plan, irs, i + 1 == n)))
+        .collect()
 }
 
 /// Frequency-weighted adjacent-op digram statistics over the
@@ -263,7 +290,7 @@ fn pack_order(cp: &CompiledProgram, plan: &OptPlan) -> Vec<usize> {
 /// Keys are `"A+B"` variant-name pairs, hottest first.
 pub fn digram_stats(cp: &CompiledProgram, plan: &OptPlan) -> Vec<(String, f64)> {
     use std::collections::HashMap;
-    let Some((irs, _)) = run_passes(cp, plan) else {
+    let Some((irs, _)) = run_stages(cp, plan, |_, _| {}) else {
         return Vec::new();
     };
     let mut acc: HashMap<String, f64> = HashMap::new();
@@ -295,12 +322,7 @@ pub fn digram_stats(cp: &CompiledProgram, plan: &OptPlan) -> Vec<(String, f64)> 
 /// profiles (the only difference is zero-tick fallthrough jumps and
 /// relocation).
 pub fn roundtrip(cp: &CompiledProgram) -> CompiledProgram {
-    let irs: Vec<Option<ir::FuncIr>> = (0..cp.funcs.len())
-        .map(|f| {
-            let meta = &cp.funcs[f];
-            (meta.entry != NONE32 && meta.code.1 > meta.code.0).then(|| ir::lift(cp, f, &[]))
-        })
-        .collect();
+    let irs = lift(cp, &OptPlan::full(cp, 0));
     ir::lower(cp, &irs, &(0..cp.funcs.len()).collect::<Vec<_>>())
 }
 
@@ -316,7 +338,7 @@ const MAX_INLINE_DEPTH: usize = 4;
 /// admissible site remains. An ancestor-chain check plus the depth
 /// bound keeps (mutual) recursion from cycling; the monotonically
 /// shrinking budget guarantees termination regardless.
-fn run_inliner(cp: &CompiledProgram, plan: &OptPlan, irs: &mut [Option<ir::FuncIr>]) -> u64 {
+fn run_inliner(cp: &CompiledProgram, plan: &OptPlan, irs: &mut [Option<FuncIr>]) -> u64 {
     struct Cand {
         fid: usize,
         site: ir::CallSite,

@@ -1,7 +1,8 @@
-//! The scalar pass pipeline over chunk IR: constant
-//! folding/propagation with branch simplification, dead-code
-//! elimination, hot-chunk superinstruction fusion, hot-path layout,
-//! and dispatch-cost recosting.
+//! The scalar passes over chunk IR: constant folding/propagation with
+//! branch simplification, dead-code elimination, hot-chunk
+//! superinstruction fusion (emitter pairs) and mining (harvested
+//! digrams), hot-path layout, and dispatch-cost recosting. The crate
+//! root's stage table runs them in that order.
 //!
 //! All passes run only on budgeted functions and assume the recost
 //! pass follows: they drop or rewrite batched-tick payloads freely,
@@ -319,14 +320,45 @@ pub fn fold(ir: &mut FuncIr, cp: &CompiledProgram) -> u64 {
                     }
                     None => out.push(op),
                 },
+                // Counted conditional branches fall through when taken
+                // and jump to `else_target` otherwise.
                 Op::CondBranch {
-                    src,
                     branch,
                     else_target,
                     tick,
-                } => match regs.get(&src) {
-                    Some(v) => {
-                        let taken = v.truthy();
+                    ..
+                }
+                | Op::CmpBranchLL {
+                    branch,
+                    else_target,
+                    tick,
+                    ..
+                }
+                | Op::CmpBranchLI {
+                    branch,
+                    else_target,
+                    tick,
+                    ..
+                }
+                | Op::CmpBranchRR {
+                    branch,
+                    else_target,
+                    tick,
+                    ..
+                }
+                | Op::CmpBranchRL {
+                    branch,
+                    else_target,
+                    tick,
+                    ..
+                }
+                | Op::CmpBranchRI {
+                    branch,
+                    else_target,
+                    tick,
+                    ..
+                } => match branch_outcome(op, &regs, &slots) {
+                    Some(taken) => {
                         folded += 1;
                         if branch != NONE32 {
                             out.push(Op::BumpBranch { branch, taken });
@@ -341,145 +373,6 @@ pub fn fold(ir: &mut FuncIr, cp: &CompiledProgram) -> u64 {
                     }
                     None => out.push(op),
                 },
-                Op::CmpBranchLL {
-                    off_a,
-                    off_b,
-                    op: cmp,
-                    branch,
-                    else_target,
-                    tick,
-                } => {
-                    match binop(
-                        slots.get(&off_a).copied(),
-                        slots.get(&off_b).copied(),
-                        |x, y| Some(cmp_vals(cmp, x, y)),
-                    ) {
-                        Some(taken) => {
-                            folded += 1;
-                            if branch != NONE32 {
-                                out.push(Op::BumpBranch { branch, taken });
-                            }
-                            if !taken {
-                                out.push(Op::Jump {
-                                    target: else_target,
-                                    tick,
-                                });
-                                break 'ops;
-                            }
-                        }
-                        None => out.push(op),
-                    }
-                }
-                Op::CmpBranchLI {
-                    off,
-                    imm,
-                    op: cmp,
-                    branch,
-                    else_target,
-                    tick,
-                } => {
-                    match slots
-                        .get(&off)
-                        .map(|&x| cmp_vals(cmp, x, Value::Int(imm as i64)))
-                    {
-                        Some(taken) => {
-                            folded += 1;
-                            if branch != NONE32 {
-                                out.push(Op::BumpBranch { branch, taken });
-                            }
-                            if !taken {
-                                out.push(Op::Jump {
-                                    target: else_target,
-                                    tick,
-                                });
-                                break 'ops;
-                            }
-                        }
-                        None => out.push(op),
-                    }
-                }
-                Op::CmpBranchRR {
-                    a,
-                    b,
-                    op: cmp,
-                    branch,
-                    else_target,
-                    tick,
-                } => {
-                    match binop(regs.get(&a).copied(), regs.get(&b).copied(), |x, y| {
-                        Some(cmp_vals(cmp, x, y))
-                    }) {
-                        Some(taken) => {
-                            folded += 1;
-                            if branch != NONE32 {
-                                out.push(Op::BumpBranch { branch, taken });
-                            }
-                            if !taken {
-                                out.push(Op::Jump {
-                                    target: else_target,
-                                    tick,
-                                });
-                                break 'ops;
-                            }
-                        }
-                        None => out.push(op),
-                    }
-                }
-                Op::CmpBranchRL {
-                    a,
-                    off,
-                    op: cmp,
-                    branch,
-                    else_target,
-                    tick,
-                } => {
-                    match binop(regs.get(&a).copied(), slots.get(&off).copied(), |x, y| {
-                        Some(cmp_vals(cmp, x, y))
-                    }) {
-                        Some(taken) => {
-                            folded += 1;
-                            if branch != NONE32 {
-                                out.push(Op::BumpBranch { branch, taken });
-                            }
-                            if !taken {
-                                out.push(Op::Jump {
-                                    target: else_target,
-                                    tick,
-                                });
-                                break 'ops;
-                            }
-                        }
-                        None => out.push(op),
-                    }
-                }
-                Op::CmpBranchRI {
-                    a,
-                    imm,
-                    op: cmp,
-                    branch,
-                    else_target,
-                    tick,
-                } => {
-                    match regs
-                        .get(&a)
-                        .map(|&x| cmp_vals(cmp, x, Value::Int(imm as i64)))
-                    {
-                        Some(taken) => {
-                            folded += 1;
-                            if branch != NONE32 {
-                                out.push(Op::BumpBranch { branch, taken });
-                            }
-                            if !taken {
-                                out.push(Op::Jump {
-                                    target: else_target,
-                                    tick,
-                                });
-                                break 'ops;
-                            }
-                        }
-                        None => out.push(op),
-                    }
-                }
                 Op::SwitchJump { src, table, tick } => match regs.get(&src) {
                     Some(v) => {
                         let target = lookup_switch(&ir.tables[table as usize], v.to_int());
@@ -505,6 +398,26 @@ pub fn fold(ir: &mut FuncIr, cp: &CompiledProgram) -> u64 {
         chunk.ops = out;
     }
     folded
+}
+
+/// The direction of a counted conditional branch whose operands are
+/// all known constants; `None` otherwise.
+fn branch_outcome(op: Op, regs: &HashMap<u16, Value>, slots: &HashMap<u32, Value>) -> Option<bool> {
+    let reg = |r: u16| regs.get(&r).copied();
+    let slot = |off: u32| slots.get(&off).copied();
+    let int = |imm: i32| Some(Value::Int(imm as i64));
+    let (x, y, cmp) = match op {
+        Op::CondBranch { src, .. } => return reg(src).map(|v| v.truthy()),
+        Op::CmpBranchLL {
+            off_a, off_b, op, ..
+        } => (slot(off_a), slot(off_b), op),
+        Op::CmpBranchLI { off, imm, op, .. } => (slot(off), int(imm), op),
+        Op::CmpBranchRR { a, b, op, .. } => (reg(a), reg(b), op),
+        Op::CmpBranchRL { a, off, op, .. } => (reg(a), slot(off), op),
+        Op::CmpBranchRI { a, imm, op, .. } => (reg(a), int(imm), op),
+        _ => return None,
+    };
+    Some(cmp_vals(cmp, x?, y?))
 }
 
 fn upsert<K: std::hash::Hash + Eq>(map: &mut HashMap<K, Value>, k: K, v: Option<Value>) {
@@ -688,17 +601,29 @@ pub fn dce(ir: &mut FuncIr) -> (u64, u64) {
 }
 
 /// Superinstruction selection on hot chunks: re-runs the compiler's
-/// provably safe fusion patterns on code shapes exposed by inlining
-/// and folding. A chunk is hot when its frequency is at least the
-/// mean over the function's live chunks. Returns the number of fused
-/// pairs.
+/// provably safe fusion patterns (`fuse_pair`) on code shapes
+/// exposed by inlining and folding. Returns the number of fused pairs.
 pub fn fuse(ir: &mut FuncIr) -> u64 {
-    let live: Vec<_> = ir.chunks.iter().filter(|c| !c.dead).collect();
-    if live.is_empty() {
-        return 0;
-    }
-    let threshold = live.iter().map(|c| c.freq).sum::<f64>() / live.len() as f64;
-    drop(live);
+    fuse_hot_pairs(ir, fuse_pair)
+}
+
+/// Mined-superinstruction selection: fuses the digram patterns
+/// harvested from estimator frequencies across the benchmark corpus
+/// (`mined_pair`), as opposed to [`fuse`]'s emitter pairs. Runs
+/// after [`fuse`]: the `LoadIdxLR` pattern consumes the `LoadIdx` that
+/// fusion produces.
+pub fn mine(ir: &mut FuncIr) -> u64 {
+    fuse_hot_pairs(ir, mined_pair)
+}
+
+/// The peephole driver behind [`fuse`] and [`mine`]: replaces each
+/// adjacent op pair that `pair` fuses, in hot chunks only, so cold
+/// code keeps its shape. A chunk is hot when its frequency is at least
+/// the mean over the function's live chunks. Returns the number of
+/// pairs fused.
+fn fuse_hot_pairs(ir: &mut FuncIr, pair: fn(Op, Op) -> Option<Op>) -> u64 {
+    let live = || ir.chunks.iter().filter(|c| !c.dead);
+    let threshold = live().map(|c| c.freq).sum::<f64>() / live().count() as f64;
     let mut fused = 0;
     for chunk in ir
         .chunks
@@ -708,13 +633,12 @@ pub fn fuse(ir: &mut FuncIr) -> u64 {
         let ops = &mut chunk.ops;
         let mut i = 0;
         while i + 1 < ops.len() {
-            let pair = fuse_pair(ops[i], ops[i + 1]);
-            if let Some(op) = pair {
+            if let Some(op) = pair(ops[i], ops[i + 1]) {
                 ops[i] = op;
                 ops.remove(i + 1);
                 fused += 1;
-                // A fused op can seed another pattern (rare); rescan
-                // from the previous position.
+                // A fused op can seed another pattern; rescan from
+                // the previous position.
                 i = i.saturating_sub(1);
             } else {
                 i += 1;
@@ -722,39 +646,6 @@ pub fn fuse(ir: &mut FuncIr) -> u64 {
         }
     }
     fused
-}
-
-/// Mined-superinstruction selection: fuses the digram patterns
-/// harvested from estimator frequencies across the benchmark corpus
-/// (see `mined_pair`), as opposed to [`fuse`]'s emitter pairs. Runs
-/// on the same hot-chunk threshold so cold code keeps its shape.
-pub fn mine(ir: &mut FuncIr) -> u64 {
-    let live: Vec<_> = ir.chunks.iter().filter(|c| !c.dead).collect();
-    if live.is_empty() {
-        return 0;
-    }
-    let threshold = live.iter().map(|c| c.freq).sum::<f64>() / live.len() as f64;
-    drop(live);
-    let mut mined = 0;
-    for chunk in ir
-        .chunks
-        .iter_mut()
-        .filter(|c| !c.dead && c.freq >= threshold)
-    {
-        let ops = &mut chunk.ops;
-        let mut i = 0;
-        while i + 1 < ops.len() {
-            if let Some(op) = mined_pair(ops[i], ops[i + 1]) {
-                ops[i] = op;
-                ops.remove(i + 1);
-                mined += 1;
-                i = i.saturating_sub(1);
-            } else {
-                i += 1;
-            }
-        }
-    }
-    mined
 }
 
 /// The mined fusion patterns — digrams measured hottest over the
