@@ -7,6 +7,7 @@
 
 use crate::token::Span;
 use std::fmt;
+use std::sync::Arc;
 
 /// A unique id for an AST node within one translation unit.
 // The derived `partial_cmp` delegates to `Ord` on a `u32` — total, so
@@ -341,8 +342,9 @@ pub struct FunctionDecl {
     pub ret: TypeName,
     /// Parameters.
     pub params: Vec<Param>,
-    /// `None` for a prototype; `Some(block)` for a definition.
-    pub body: Option<Stmt>,
+    /// `None` for a prototype; `Some(block)` for a definition. Shared
+    /// with [`crate::sema::Function::body`], never deep-copied.
+    pub body: Option<Arc<Stmt>>,
     /// Source location.
     pub span: Span,
 }

@@ -126,10 +126,10 @@ impl<'a> RawLexer<'a> {
         self.pos += 1; // '#'
         self.skip_line_ws();
         let name = self.ident_str();
-        match name.as_str() {
+        match name {
             "define" => {
                 self.skip_line_ws();
-                let macro_name = self.ident_str();
+                let macro_name = self.ident_str().to_string();
                 if macro_name.is_empty() {
                     return Err(self.err(start, "#define requires a name"));
                 }
@@ -177,14 +177,14 @@ impl<'a> RawLexer<'a> {
         }
     }
 
-    fn ident_str(&mut self) -> String {
+    fn ident_str(&mut self) -> &'a str {
         let start = self.pos;
         while self.pos < self.bytes.len()
             && (self.bytes[self.pos].is_ascii_alphanumeric() || self.bytes[self.pos] == b'_')
         {
             self.pos += 1;
         }
-        self.src[start..self.pos].to_string()
+        &self.src[start..self.pos]
     }
 
     fn err(&self, at: usize, msg: &str) -> CompileError {
@@ -200,9 +200,9 @@ impl<'a> RawLexer<'a> {
         let b = self.bytes[self.pos];
         let kind = if b.is_ascii_alphabetic() || b == b'_' {
             let s = self.ident_str();
-            match Keyword::lookup(&s) {
+            match Keyword::lookup(s) {
                 Some(kw) => TokenKind::Kw(kw),
-                None => TokenKind::Ident(s),
+                None => TokenKind::Ident(s.to_string()),
             }
         } else if b.is_ascii_digit() {
             self.number(start)?

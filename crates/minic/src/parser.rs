@@ -10,6 +10,8 @@ use crate::ast::*;
 use crate::error::{CompileError, ErrorKind};
 use crate::lexer::lex;
 use crate::token::{Keyword, Punct, Span, Token, TokenKind};
+use std::mem;
+use std::sync::Arc;
 
 /// Parses a translation unit.
 ///
@@ -73,12 +75,25 @@ impl Parser {
         matches!(self.peek(), TokenKind::Eof)
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos].clone();
+    /// Consumes the current token, returning its span.
+    fn bump(&mut self) -> Span {
+        let span = self.span();
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
-        t
+        span
+    }
+
+    /// Consumes the current identifier or string token and moves its
+    /// text out. The parser never backtracks, so a consumed token's
+    /// payload is never read again.
+    fn bump_text(&mut self) -> String {
+        let text = match &mut self.tokens[self.pos].kind {
+            TokenKind::Ident(s) | TokenKind::Str(s) => mem::take(s),
+            _ => String::new(),
+        };
+        self.bump();
+        text
     }
 
     fn eat_punct(&mut self, p: Punct) -> bool {
@@ -101,17 +116,17 @@ impl Parser {
 
     fn expect_punct(&mut self, p: Punct) -> Result<Span, CompileError> {
         if self.peek() == &TokenKind::Punct(p) {
-            Ok(self.bump().span)
+            Ok(self.bump())
         } else {
             Err(self.err(format!("expected `{}`, found {}", p.as_str(), self.peek())))
         }
     }
 
     fn expect_ident(&mut self) -> Result<(String, Span), CompileError> {
-        match self.peek().clone() {
-            TokenKind::Ident(s) => {
-                let sp = self.bump().span;
-                Ok((s, sp))
+        match self.peek() {
+            TokenKind::Ident(_) => {
+                let sp = self.span();
+                Ok((self.bump_text(), sp))
             }
             other => Err(self.err(format!("expected identifier, found {other}"))),
         }
@@ -155,7 +170,7 @@ impl Parser {
             || self.eat_kw(Keyword::Extern)
             || self.eat_kw(Keyword::Const)
         {}
-        let base = match self.peek().clone() {
+        let base = match self.peek() {
             TokenKind::Kw(Keyword::Void) => {
                 self.bump();
                 BaseType::Void
@@ -253,11 +268,8 @@ impl Parser {
             return Ok((name, full, start.to(self.prev_span())));
         }
 
-        let name = match self.peek().clone() {
-            TokenKind::Ident(s) => {
-                self.bump();
-                s
-            }
+        let name = match self.peek() {
+            TokenKind::Ident(_) => self.bump_text(),
             _ if allow_anon => String::new(),
             other => return Err(self.err(format!("expected a name, found {other}"))),
         };
@@ -386,11 +398,8 @@ impl Parser {
     fn enum_def(&mut self) -> Result<EnumDecl, CompileError> {
         let start = self.span();
         self.bump(); // enum
-        let name = match self.peek().clone() {
-            TokenKind::Ident(n) => {
-                self.bump();
-                n
-            }
+        let name = match self.peek() {
+            TokenKind::Ident(_) => self.bump_text(),
             _ => String::new(),
         };
         self.expect_punct(Punct::LBrace)?;
@@ -479,7 +488,7 @@ impl Parser {
         let body = if self.eat_punct(Punct::Semi) {
             None
         } else {
-            Some(self.block()?)
+            Some(Arc::new(self.block()?))
         };
         Ok(FunctionDecl {
             id: self.fresh(),
@@ -568,22 +577,22 @@ impl Parser {
     fn stmt(&mut self) -> Result<Stmt, CompileError> {
         let start = self.span();
         // Label?
-        if let TokenKind::Ident(name) = self.peek().clone() {
-            if self.peek2() == &TokenKind::Punct(Punct::Colon) {
-                self.bump();
-                self.bump();
-                let inner = self.stmt()?;
-                return Ok(Stmt {
-                    id: self.fresh(),
-                    span: start.to(self.prev_span()),
-                    kind: StmtKind::Label(name, Box::new(inner)),
-                });
-            }
+        if matches!(self.peek(), TokenKind::Ident(_))
+            && self.peek2() == &TokenKind::Punct(Punct::Colon)
+        {
+            let name = self.bump_text();
+            self.bump();
+            let inner = self.stmt()?;
+            return Ok(Stmt {
+                id: self.fresh(),
+                span: start.to(self.prev_span()),
+                kind: StmtKind::Label(name, Box::new(inner)),
+            });
         }
         if self.at_type() {
             return self.decl_stmt();
         }
-        match self.peek().clone() {
+        match self.peek() {
             TokenKind::Punct(Punct::LBrace) => self.block(),
             TokenKind::Punct(Punct::Semi) => {
                 self.bump();
@@ -975,7 +984,7 @@ impl Parser {
     fn postfix_expr(&mut self) -> Result<Expr, CompileError> {
         let mut e = self.primary_expr()?;
         loop {
-            match self.peek().clone() {
+            match self.peek() {
                 TokenKind::Punct(Punct::LParen) => {
                     self.bump();
                     let mut args = Vec::new();
@@ -1051,7 +1060,7 @@ impl Parser {
 
     fn primary_expr(&mut self) -> Result<Expr, CompileError> {
         let start = self.span();
-        match self.peek().clone() {
+        match *self.peek() {
             TokenKind::Int(v) => {
                 self.bump();
                 Ok(Expr {
@@ -1068,13 +1077,11 @@ impl Parser {
                     kind: ExprKind::FloatLit(v),
                 })
             }
-            TokenKind::Str(s) => {
-                self.bump();
+            TokenKind::Str(_) => {
                 // Adjacent string literals concatenate.
-                let mut s = s;
-                while let TokenKind::Str(next) = self.peek().clone() {
-                    self.bump();
-                    s.push_str(&next);
+                let mut s = self.bump_text();
+                while matches!(self.peek(), TokenKind::Str(_)) {
+                    s.push_str(&self.bump_text());
                 }
                 Ok(Expr {
                     id: self.fresh(),
@@ -1082,8 +1089,8 @@ impl Parser {
                     kind: ExprKind::StrLit(s),
                 })
             }
-            TokenKind::Ident(name) => {
-                self.bump();
+            TokenKind::Ident(_) => {
+                let name = self.bump_text();
                 Ok(Expr {
                     id: self.fresh(),
                     span: start,
@@ -1096,7 +1103,7 @@ impl Parser {
                 self.expect_punct(Punct::RParen)?;
                 Ok(e)
             }
-            other => Err(self.err(format!("expected an expression, found {other}"))),
+            _ => Err(self.err(format!("expected an expression, found {}", self.peek()))),
         }
     }
 }
@@ -1237,7 +1244,7 @@ mod tests {
         let Some(Stmt {
             kind: StmtKind::Block(stmts),
             ..
-        }) = &f.body
+        }) = f.body.as_deref()
         else {
             panic!()
         };
@@ -1258,7 +1265,7 @@ mod tests {
         let Some(Stmt {
             kind: StmtKind::Block(stmts),
             ..
-        }) = &f.body
+        }) = f.body.as_deref()
         else {
             panic!()
         };

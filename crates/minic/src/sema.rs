@@ -16,6 +16,7 @@ use crate::fold::{fold, ConstValue, FoldEnv};
 use crate::token::Span;
 use crate::types::*;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Identifies a function within a [`Module`].
 // The derived `partial_cmp` delegates to `Ord` on a `u32` — total, so
@@ -220,8 +221,9 @@ pub struct Function {
     pub locals: Vec<Local>,
     /// Total frame size in words.
     pub frame_size: usize,
-    /// The body; `None` for bodiless prototypes.
-    pub body: Option<Stmt>,
+    /// The body; `None` for bodiless prototypes. The same allocation as
+    /// the parsed [`FunctionDecl::body`].
+    pub body: Option<Arc<Stmt>>,
     /// Source location.
     pub span: Span,
 }
@@ -278,8 +280,8 @@ pub struct Module {
     pub functions: Vec<Function>,
     /// All distinct string literals.
     pub strings: Vec<String>,
-    /// Analysis side tables.
-    pub side: SideTables,
+    /// Analysis side tables, shared by every clone of the module.
+    pub side: Arc<SideTables>,
 }
 
 impl Module {
@@ -427,7 +429,7 @@ impl Checker {
             globals: self.globals,
             functions: self.functions,
             strings: self.strings,
-            side: self.side,
+            side: Arc::new(self.side),
         }
     }
 
@@ -870,7 +872,7 @@ impl Checker {
             let f = &mut self.functions[fid.0 as usize];
             f.locals = std::mem::take(&mut self.cur_locals);
             f.frame_size = self.cur_frame;
-            f.body = Some(body.clone());
+            f.body = Some(Arc::clone(body));
         }
         Ok(())
     }

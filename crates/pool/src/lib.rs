@@ -71,7 +71,7 @@ unsafe impl Send for TaskPtr {}
 /// Always-on pool telemetry, readable via [`Pool::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Tasks executed to completion.
+    /// Tasks run; exact once the scope that spawned them returns.
     pub tasks: u64,
     /// Successful steals from another worker's deque.
     pub steals: u64,
@@ -180,9 +180,12 @@ impl Shared {
         // SAFETY: `ptr` came from `Box::into_raw` in `push` and was
         // claimed exactly once by `find_task`/`drain`.
         let task = unsafe { Box::from_raw(ptr) };
-        (task.0)();
+        // Count before running: the task's last act is to release its
+        // scope, so a count taken afterwards could land after the scope
+        // has returned and its caller has read the stats.
         self.stats.tasks.fetch_add(1, Ordering::Relaxed);
         obs::counter_add("pool.tasks", 1);
+        (task.0)();
     }
 }
 

@@ -95,7 +95,7 @@ proptest! {
         // Compile-time value, if it folds.
         let unit = minic::parser::parse(&src).unwrap();
         let minic::ast::Item::Function(f) = &unit.items[0] else { unreachable!() };
-        let Some(minic::ast::Stmt { kind: minic::ast::StmtKind::Block(stmts), .. }) = &f.body else { unreachable!() };
+        let Some(minic::ast::Stmt { kind: minic::ast::StmtKind::Block(stmts), .. }) = f.body.as_deref() else { unreachable!() };
         let minic::ast::StmtKind::Return(Some(ret)) = &stmts[0].kind else { unreachable!() };
         let folded = minic::fold::fold(ret, &minic::fold::NoEnv);
 
