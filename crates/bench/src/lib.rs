@@ -34,33 +34,91 @@ pub struct ProgramData {
     pub profiles: Vec<Profile>,
 }
 
-/// One profile, by cache lookup when possible, by execution otherwise
-/// (writing through on a miss). The unit of work the pool schedules.
-fn profile_one(
-    bench: BenchProgram,
-    compiled: &CompiledProgram,
-    input: Vec<u8>,
-    cache: Option<&Cache>,
-) -> Profile {
-    let config = RunConfig::with_input(input);
-    let key = cache.map(|_| ArtifactKey::derive(ArtifactKind::Profile, bench.source, &config));
-    if let (Some(c), Some(k)) = (cache, key) {
-        if let Some(profile) = c.load_profile(k) {
-            return profile;
-        }
-    }
-    let out = compiled
-        .execute(&config)
-        .unwrap_or_else(|e| panic!("{}: runtime error: {e}", bench.name));
-    if let (Some(c), Some(k)) = (cache, key) {
-        c.store(k, &Artifact::Profile(out.profile.clone()));
-    }
-    out.profile
+/// One input still to execute: its run configuration and, with a
+/// cache, the key its profile is written through to.
+struct Run {
+    config: RunConfig,
+    key: Option<ArtifactKey>,
 }
 
-/// Records the compiled image's summary stats in the cache (skipped
-/// when already present — compilation is sub-millisecond, so the meta
-/// entry exists for capacity diagnostics, not to avoid work).
+/// What a load builds and where its profiles live in the cache: the
+/// plain VM image (`Profile` entries), or the image optimized at an
+/// opt level (`OptProfile` entries, whose key is salted with the level
+/// and [`opt::PASS_PIPELINE_VERSION`], so a level change or an
+/// optimizer change always re-executes).
+#[derive(Clone, Copy)]
+enum Image {
+    Plain,
+    Opt(u8),
+}
+
+impl Image {
+    fn key(self, bench: BenchProgram, config: &RunConfig) -> ArtifactKey {
+        match self {
+            Image::Plain => ArtifactKey::derive(ArtifactKind::Profile, bench.source, config),
+            Image::Opt(level) => {
+                ArtifactKey::derive_opt(bench.source, config, level, opt::PASS_PIPELINE_VERSION)
+            }
+        }
+    }
+
+    fn load(self, cache: &Cache, key: ArtifactKey) -> Option<Profile> {
+        match self {
+            Image::Plain => cache.load_profile(key),
+            Image::Opt(_) => cache.load_opt_profile(key),
+        }
+    }
+
+    /// Builds the image to execute: the plain one (recording its
+    /// [`BytecodeMeta`]), or the optimized one — full budget and
+    /// static-estimate frequencies, so the plan needs no profiling.
+    fn build(
+        self,
+        bench: BenchProgram,
+        program: &Program,
+        cache: Option<&Cache>,
+    ) -> CompiledProgram {
+        let cp = profiler::compile(program);
+        match self {
+            Image::Plain => {
+                store_bytecode_meta(bench, &cp, cache);
+                cp
+            }
+            Image::Opt(level) => {
+                let ranking = estimators::ranking::StaticRanking::new(program);
+                let plan = plan_from_ranking(&ranking, &cp, level, cp.funcs.len());
+                opt::optimize(&cp, &plan).0
+            }
+        }
+    }
+
+    /// Executes one input on `image`, writing the profile through to
+    /// the cache.
+    fn execute(
+        self,
+        bench: BenchProgram,
+        image: &CompiledProgram,
+        run: Run,
+        cache: Option<&Cache>,
+    ) -> Profile {
+        let out = image.execute(&run.config).unwrap_or_else(|e| match self {
+            Image::Plain => panic!("{}: runtime error: {e}", bench.name),
+            Image::Opt(_) => panic!("{}: optimized runtime error: {e}", bench.name),
+        });
+        if let (Some(c), Some(k)) = (cache, run.key) {
+            let artifact = match self {
+                Image::Plain => Artifact::Profile(out.profile.clone()),
+                Image::Opt(_) => Artifact::OptProfile(out.profile.clone()),
+            };
+            c.store(k, &artifact);
+        }
+        out.profile
+    }
+}
+
+/// Records the compiled image's summary stats in the cache unless an
+/// entry is already there. The meta entry exists for capacity
+/// diagnostics; it is written only when an image is built anyway.
 fn store_bytecode_meta(bench: BenchProgram, compiled: &CompiledProgram, cache: Option<&Cache>) {
     let Some(c) = cache else { return };
     let key = ArtifactKey::derive(
@@ -68,7 +126,7 @@ fn store_bytecode_meta(bench: BenchProgram, compiled: &CompiledProgram, cache: O
         bench.source,
         &RunConfig::default(),
     );
-    if c.load(key).is_some() {
+    if c.contains(key) {
         return;
     }
     let (n_ops, n_funcs, n_blocks, data_words) = compiled.image_stats();
@@ -83,6 +141,51 @@ fn store_bytecode_meta(bench: BenchProgram, compiled: &CompiledProgram, cache: O
     );
 }
 
+/// Loads one program inside the scope `s`, filling `profiles` in
+/// input order, and returns the program.
+///
+/// The front end runs on the current thread. Then every input's
+/// profile is looked up in `cache`. Only if at least one misses is the
+/// VM image built, and one task is spawned into `s` per missing input.
+/// So a program whose profiles are all cached never builds an image.
+fn load_into<'scope>(
+    s: &pool::Scope<'scope>,
+    image: Image,
+    bench: BenchProgram,
+    profiles: &'scope mut Vec<Option<Profile>>,
+    cache: Option<&'scope Cache>,
+) -> Program {
+    let program = bench
+        .compile()
+        .unwrap_or_else(|e| panic!("{}: {}", bench.name, e.render(bench.source)));
+    let mut missing = Vec::new();
+    for input in bench.inputs() {
+        let config = RunConfig::with_input(input);
+        let key = cache.map(|_| image.key(bench, &config));
+        let hit = cache.zip(key).and_then(|(c, k)| image.load(c, k));
+        if hit.is_none() {
+            missing.push(Run { config, key });
+        }
+        profiles.push(hit);
+    }
+    if !missing.is_empty() {
+        let compiled = Arc::new(image.build(bench, &program, cache));
+        for (slot, run) in profiles.iter_mut().filter(|p| p.is_none()).zip(missing) {
+            let compiled = Arc::clone(&compiled);
+            s.spawn(move |_| *slot = Some(image.execute(bench, &compiled, run, cache)));
+        }
+    }
+    program
+}
+
+/// Unwraps profile slots that every load task has filled.
+fn filled(profiles: Vec<Option<Profile>>) -> Vec<Profile> {
+    profiles
+        .into_iter()
+        .map(|p| p.expect("pool task filled its profile slot"))
+        .collect()
+}
+
 /// Compiles and profiles one suite program on the global pool, with
 /// no artifact cache.
 ///
@@ -94,10 +197,11 @@ pub fn load_program(bench: BenchProgram) -> ProgramData {
     load_program_with(bench, pool::global(), None)
 }
 
-/// Compiles and profiles one suite program: compilation happens on
-/// the calling thread, then each input becomes one pool task that
-/// consults `cache` before executing and writes through after.
-/// Profiles return in input order for any pool size.
+/// Compiles and profiles one suite program. The front end, the cache
+/// probe and (on a miss) the VM compile run on the calling thread;
+/// then each input `cache` did not hold becomes one pool task that
+/// executes and writes through. Profiles return in input order for
+/// any pool size.
 ///
 /// # Panics
 ///
@@ -108,24 +212,9 @@ pub fn load_program_with(
     cache: Option<&Cache>,
 ) -> ProgramData {
     let _sp = obs::span("bench.load_program");
-    let program = bench
-        .compile()
-        .unwrap_or_else(|e| panic!("{}: {}", bench.name, e.render(bench.source)));
-    let compiled = profiler::compile(&program);
-    store_bytecode_meta(bench, &compiled, cache);
-    let inputs = bench.inputs();
-    let mut profiles: Vec<Option<Profile>> = Vec::new();
-    profiles.resize_with(inputs.len(), || None);
-    pool.scope(|s| {
-        for (slot, input) in profiles.iter_mut().zip(inputs) {
-            let compiled = &compiled;
-            s.spawn(move |_| *slot = Some(profile_one(bench, compiled, input, cache)));
-        }
-    });
-    let profiles: Vec<Profile> = profiles
-        .into_iter()
-        .map(|p| p.expect("pool task filled its profile slot"))
-        .collect();
+    let mut profiles = Vec::new();
+    let program = pool.scope(|s| load_into(s, Image::Plain, bench, &mut profiles, cache));
+    let profiles = filled(profiles);
     obs::counter_add("bench.programs", 1);
     obs::counter_add("bench.profiles", profiles.len() as u64);
     ProgramData {
@@ -141,153 +230,50 @@ pub fn load_suite() -> Vec<ProgramData> {
     load_suite_with(pool::global(), None)
 }
 
-/// Compiles and profiles the whole suite as *(program, input)* tasks
-/// on `pool`, consulting `cache` per input.
+/// Compiles and profiles the whole suite on `pool`, consulting `cache`
+/// per input.
 ///
-/// One compile task per program fans out one profile task per input
-/// into the same scope, so workers drain a single global task supply:
-/// a straggler program's inputs spread across every idle core instead
-/// of serializing on the thread that compiled it. Results merge into
-/// pre-sized slots indexed by (program, input) position, so the
-/// output is byte-identical in Table 1 order for any pool size and
-/// any steal schedule (asserted by `tests/determinism.rs`).
+/// Each program is one task. It runs the front end, generates the
+/// program's inputs once and probes `cache` for every input's profile
+/// first. Only if at least one input misses does it build the VM image
+/// (and record its `BytecodeMeta`); it then fans out one execution
+/// task per missing input into the same scope. So a warm pass builds
+/// no image and executes nothing, while a cold one lets a straggler
+/// program's inputs spread across every idle core instead of
+/// serializing on the thread that compiled it. Results land in
+/// per-program slots in input order, so the output is byte-identical in Table 1 order for any pool size, any
+/// steal schedule and any cache state (asserted by
+/// `tests/determinism.rs` and `tests/warm_pass.rs`).
 pub fn load_suite_with(pool: &pool::Pool, cache: Option<&Cache>) -> Vec<ProgramData> {
     // Worker threads carry their own span stacks, so per-program
     // spans show up as overlapping roots; this span is the wall-clock
     // envelope of the whole fan-out.
     let _sp = obs::span("bench.load_suite");
-    let benches = suite::all();
-    struct Slot {
-        program: Option<Program>,
-        profiles: Vec<Option<Profile>>,
-    }
-    let mut slots: Vec<Slot> = benches
-        .iter()
-        .map(|b| {
-            let mut profiles = Vec::new();
-            profiles.resize_with(b.inputs().len(), || None);
-            Slot {
-                program: None,
-                profiles,
-            }
-        })
-        .collect();
-    pool.scope(|s| {
-        for (&bench, slot) in benches.iter().zip(slots.iter_mut()) {
-            s.spawn(move |s| {
-                // Split the slot borrow so the program half stays here
-                // while each profile half moves into an input task.
-                let Slot { program, profiles } = slot;
-                let compiled_program = bench
-                    .compile()
-                    .unwrap_or_else(|e| panic!("{}: {}", bench.name, e.render(bench.source)));
-                let compiled = Arc::new(profiler::compile(&compiled_program));
-                store_bytecode_meta(bench, &compiled, cache);
-                *program = Some(compiled_program);
-                for (prof_slot, input) in profiles.iter_mut().zip(bench.inputs()) {
-                    let compiled = Arc::clone(&compiled);
-                    s.spawn(move |_| {
-                        *prof_slot = Some(profile_one(bench, &compiled, input, cache));
-                    });
-                }
-                obs::counter_add("bench.programs", 1);
-            });
-        }
-    });
-    benches
-        .into_iter()
-        .zip(slots)
-        .map(|(bench, slot)| {
-            let profiles: Vec<Profile> = slot
-                .profiles
-                .into_iter()
-                .map(|p| p.expect("pool task filled its profile slot"))
-                .collect();
-            obs::counter_add("bench.profiles", profiles.len() as u64);
-            ProgramData {
-                bench,
-                program: slot.program.expect("compile task filled its slot"),
-                profiles,
-            }
-        })
-        .collect()
-}
-
-/// One optimized-run profile, by cache lookup when possible, by
-/// executing the optimized program otherwise (writing through on a
-/// miss). The cache key is salted with the opt level and the pass
-/// pipeline version, so a level change or an optimizer change always
-/// re-executes.
-fn profile_one_opt(
-    bench: BenchProgram,
-    optimized: &CompiledProgram,
-    opt_level: u8,
-    input: Vec<u8>,
-    cache: Option<&Cache>,
-) -> Profile {
-    let config = RunConfig::with_input(input);
-    let key = cache.map(|_| {
-        ArtifactKey::derive_opt(bench.source, &config, opt_level, opt::PASS_PIPELINE_VERSION)
-    });
-    if let (Some(c), Some(k)) = (cache, key) {
-        if let Some(profile) = c.load_opt_profile(k) {
-            return profile;
-        }
-    }
-    let out = optimized
-        .execute(&config)
-        .unwrap_or_else(|e| panic!("{}: optimized runtime error: {e}", bench.name));
-    if let (Some(c), Some(k)) = (cache, key) {
-        c.store(k, &Artifact::OptProfile(out.profile.clone()));
-    }
-    out.profile
+    load_suite_image(pool, cache, Image::Plain)
 }
 
 /// [`load_suite_with`], but every program is optimized at `opt_level`
 /// (full budget, static-estimate frequencies — no profiling needed to
 /// build the plan) before profiling, and profiles hit the
 /// [`ArtifactKind::OptProfile`](cache::ArtifactKind::OptProfile)
-/// cache. The returned profiles carry optimized `func_cost`; all
-/// count counters are identical to unoptimized runs by the
+/// cache. As there, the image is built (and optimized) only when an
+/// input misses. The returned profiles carry optimized `func_cost`;
+/// all count counters are identical to unoptimized runs by the
 /// optimizer's contract.
 pub fn load_suite_opt(pool: &pool::Pool, cache: Option<&Cache>, opt_level: u8) -> Vec<ProgramData> {
     let _sp = obs::span("bench.load_suite_opt");
+    load_suite_image(pool, cache, Image::Opt(opt_level))
+}
+
+/// The shared body of [`load_suite_with`] and [`load_suite_opt`].
+fn load_suite_image(pool: &pool::Pool, cache: Option<&Cache>, image: Image) -> Vec<ProgramData> {
     let benches = suite::all();
-    struct Slot {
-        program: Option<Program>,
-        profiles: Vec<Option<Profile>>,
-    }
-    let mut slots: Vec<Slot> = benches
-        .iter()
-        .map(|b| {
-            let mut profiles = Vec::new();
-            profiles.resize_with(b.inputs().len(), || None);
-            Slot {
-                program: None,
-                profiles,
-            }
-        })
-        .collect();
+    let mut slots: Vec<(Option<Program>, Vec<Option<Profile>>)> =
+        benches.iter().map(|_| (None, Vec::new())).collect();
     pool.scope(|s| {
-        for (&bench, slot) in benches.iter().zip(slots.iter_mut()) {
+        for (&bench, (program, profiles)) in benches.iter().zip(slots.iter_mut()) {
             s.spawn(move |s| {
-                let Slot { program, profiles } = slot;
-                let compiled_program = bench
-                    .compile()
-                    .unwrap_or_else(|e| panic!("{}: {}", bench.name, e.render(bench.source)));
-                let cp = profiler::compile(&compiled_program);
-                let ranking = estimators::ranking::StaticRanking::new(&compiled_program);
-                let plan = plan_from_ranking(&ranking, &cp, opt_level, cp.funcs.len());
-                let (optimized, _stats) = opt::optimize(&cp, &plan);
-                let optimized = Arc::new(optimized);
-                *program = Some(compiled_program);
-                for (prof_slot, input) in profiles.iter_mut().zip(bench.inputs()) {
-                    let optimized = Arc::clone(&optimized);
-                    s.spawn(move |_| {
-                        *prof_slot =
-                            Some(profile_one_opt(bench, &optimized, opt_level, input, cache));
-                    });
-                }
+                *program = Some(load_into(s, image, bench, profiles, cache));
                 obs::counter_add("bench.programs", 1);
             });
         }
@@ -295,16 +281,12 @@ pub fn load_suite_opt(pool: &pool::Pool, cache: Option<&Cache>, opt_level: u8) -
     benches
         .into_iter()
         .zip(slots)
-        .map(|(bench, slot)| {
-            let profiles: Vec<Profile> = slot
-                .profiles
-                .into_iter()
-                .map(|p| p.expect("pool task filled its profile slot"))
-                .collect();
+        .map(|(bench, (program, profiles))| {
+            let profiles = filled(profiles);
             obs::counter_add("bench.profiles", profiles.len() as u64);
             ProgramData {
                 bench,
-                program: slot.program.expect("compile task filled its slot"),
+                program: program.expect("load task filled its slot"),
                 profiles,
             }
         })

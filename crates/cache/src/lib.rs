@@ -378,6 +378,14 @@ impl Cache {
         }
     }
 
+    /// Whether an entry exists at `key`, in the write tier or on
+    /// disk. Nothing is read or decoded and no hit or miss is counted,
+    /// so a corrupt entry still counts as present (the next
+    /// [`Cache::load`] drops it).
+    pub fn contains(&self, key: ArtifactKey) -> bool {
+        self.lock_pending().contains_key(&key) || self.entry_path(key).is_file()
+    }
+
     /// Convenience: [`Cache::load`] narrowed to profiles.
     pub fn load_profile(&self, key: ArtifactKey) -> Option<Profile> {
         match self.load(key)? {
@@ -774,6 +782,28 @@ mod tests {
         let cache = Cache::open(temp_dir("miss")).unwrap();
         let key = ArtifactKey::derive(ArtifactKind::Profile, "nothing here", &RunConfig::default());
         assert!(cache.load(key).is_none());
+        let _cleanup = std::fs::remove_dir_all(cache.dir());
+    }
+
+    #[test]
+    fn contains_sees_both_tiers() {
+        let cache = Cache::open(temp_dir("contains")).unwrap();
+        let key = |i: u64| {
+            let cfg = RunConfig::with_input(i.to_le_bytes().to_vec());
+            ArtifactKey::derive(ArtifactKind::Profile, "src", &cfg)
+        };
+        let artifact = Artifact::Profile(sample_profile(3));
+        assert!(!cache.contains(key(0)));
+        // On disk.
+        cache.store(key(0), &artifact);
+        assert!(cache.contains(key(0)));
+        // In the write tier only, until the flush moves it to disk.
+        cache.store_batched(key(1), &artifact);
+        assert!(cache.contains(key(1)));
+        assert!(!cache.entry_path(key(1)).is_file());
+        cache.flush();
+        assert!(cache.contains(key(1)));
+        assert!(!cache.contains(key(2)));
         let _cleanup = std::fs::remove_dir_all(cache.dir());
     }
 

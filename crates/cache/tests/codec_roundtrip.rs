@@ -10,6 +10,15 @@ use minic::sema::FuncId;
 use profiler::{Profile, RunConfig};
 use proptest::{proptest, ProptestConfig, Strategy, TestRng};
 use std::path::PathBuf;
+use std::sync::{Mutex, MutexGuard};
+
+/// The telemetry registry is process-global and tests run in
+/// parallel: every test that loads from a store holds this lock, so
+/// the one that counts `cache.*` sees only its own loads.
+fn store_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Generates structurally arbitrary profiles: ragged block tables,
 /// arbitrary counts (including the u64 extremes), and random sparse
@@ -120,6 +129,7 @@ proptest! {
 
 #[test]
 fn corrupt_entry_on_disk_recovers_by_recompute_path() {
+    let _serial = store_lock();
     let cache = Cache::open(temp_dir("corrupt")).unwrap();
     let cfg = RunConfig::with_input("x");
     let key = ArtifactKey::derive(ArtifactKind::Profile, "int main(void){}", &cfg);
@@ -160,6 +170,7 @@ fn corrupt_entry_on_disk_recovers_by_recompute_path() {
 
 #[test]
 fn version_skew_invalidates_without_error() {
+    let _serial = store_lock();
     let cache = Cache::open(temp_dir("version")).unwrap();
     let key = ArtifactKey::derive(ArtifactKind::Profile, "src", &RunConfig::default());
     cache.store(key, &Artifact::Profile(Profile::default()));
@@ -177,6 +188,7 @@ fn version_skew_invalidates_without_error() {
 
 #[test]
 fn bytecode_meta_round_trips_through_the_store() {
+    let _serial = store_lock();
     let cache = Cache::open(temp_dir("meta")).unwrap();
     let key = ArtifactKey::derive(ArtifactKind::BytecodeMeta, "src", &RunConfig::default());
     let meta = BytecodeMeta {

@@ -24,7 +24,8 @@
 
 use minic::ast::{BinOp, Expr, ExprKind, Stmt, StmtKind, UnOp};
 use minic::builtins::Builtin;
-use minic::sema::{Branch, BranchId, CalleeKind, Module, Resolution};
+use minic::sema::{Branch, BranchId, CalleeKind, FuncId, Module, Resolution};
+use std::cell::OnceCell;
 use std::collections::{HashMap, HashSet};
 
 /// Which heuristic produced a prediction.
@@ -209,43 +210,45 @@ pub fn predict_module_with(
     config: &PredictorConfig,
 ) -> HashMap<BranchId, Prediction> {
     let _sp = obs::span("estimate.branch");
-    let mut out = HashMap::new();
+    let mut out = HashMap::with_capacity(module.side.branches.len());
     let error_fns = error_functions(module);
+    let branch_at = |id| {
+        module
+            .side
+            .branch_of
+            .get(&id)
+            .map(|&bid| &module.side.branches[bid.0 as usize])
+    };
     for func in module.defined_functions() {
-        let body = func.body.as_ref().expect("defined");
+        let body = func.body.as_deref().expect("defined");
         let ctx = FnContext::new(module, body, &error_fns, config);
-        // Walk statements to find branch owners with their arms.
-        body.walk(&mut |s| match &s.kind {
-            StmtKind::If(cond, then_s, else_s) => {
-                if let Some(&bid) = module.side.branch_of.get(&s.id) {
-                    let branch = &module.side.branches[bid.0 as usize];
-                    let p = ctx.predict_if(branch, cond, Some(then_s), else_s.as_deref());
-                    out.insert(bid, p);
+        // One walk finds every branch owner: statements with their
+        // arms, and ternaries among each statement's own expressions.
+        body.walk(&mut |s| {
+            let p = match &s.kind {
+                StmtKind::If(cond, then_s, else_s) => branch_at(s.id).map(|b| {
+                    (
+                        b.id,
+                        ctx.predict_if(b, cond, Some(then_s), else_s.as_deref()),
+                    )
+                }),
+                StmtKind::While(cond, _)
+                | StmtKind::DoWhile(_, cond)
+                | StmtKind::For(_, Some(cond), _, _) => {
+                    branch_at(s.id).map(|b| (b.id, ctx.predict_loop(b, cond)))
                 }
+                _ => None,
+            };
+            if let Some((bid, p)) = p {
+                out.insert(bid, p);
             }
-            StmtKind::While(cond, _) | StmtKind::DoWhile(_, cond) => {
-                if let Some(&bid) = module.side.branch_of.get(&s.id) {
-                    let branch = &module.side.branches[bid.0 as usize];
-                    out.insert(bid, ctx.predict_loop(branch, cond));
+            s.walk_own_exprs(&mut |e| {
+                if let ExprKind::Cond(c, t, f) = &e.kind {
+                    if let Some(b) = branch_at(e.id) {
+                        out.insert(b.id, ctx.predict_ternary(b, c, t, f));
+                    }
                 }
-            }
-            StmtKind::For(_, Some(cond), _, _) => {
-                if let Some(&bid) = module.side.branch_of.get(&s.id) {
-                    let branch = &module.side.branches[bid.0 as usize];
-                    out.insert(bid, ctx.predict_loop(branch, cond));
-                }
-            }
-            _ => {}
-        });
-        // Ternary branches live on expressions.
-        body.walk_exprs(&mut |e| {
-            if let ExprKind::Cond(c, t, f) = &e.kind {
-                if let Some(&bid) = module.side.branch_of.get(&e.id) {
-                    let branch = &module.side.branches[bid.0 as usize];
-                    let p = ctx.predict_ternary(branch, c, t, f);
-                    out.insert(bid, p);
-                }
-            }
+            });
         });
     }
     out
@@ -255,57 +258,72 @@ pub fn predict_module_with(
 /// `return` statement and reach `abort`/`exit` (directly or through
 /// another error function). Real C code wraps `exit` in `fatal()`-style
 /// helpers; the paper's error heuristic keys on the *intent*.
-pub fn error_functions(module: &Module) -> std::collections::HashSet<minic::sema::FuncId> {
-    use minic::sema::FuncId;
-    let mut error_fns: std::collections::HashSet<FuncId> = std::collections::HashSet::new();
-    // Fixpoint: a call to an already-known error function counts.
-    loop {
-        let mut changed = false;
-        for func in module.defined_functions() {
-            if error_fns.contains(&func.id) {
-                continue;
-            }
-            let body = func.body.as_ref().expect("defined");
+pub fn error_functions(module: &Module) -> HashSet<FuncId> {
+    /// What the fixpoint needs of one `return`-free body, gathered in
+    /// one walk.
+    struct Summary {
+        id: FuncId,
+        calls_noreturn: bool,
+        callees: Vec<FuncId>,
+    }
+    let mut candidates: Vec<Summary> = module
+        .defined_functions()
+        .filter_map(|func| {
+            let body = func.body.as_deref().expect("defined");
             let mut has_return = false;
+            let mut calls_noreturn = false;
+            let mut callees = Vec::new();
             body.walk(&mut |s| {
-                if matches!(s.kind, StmtKind::Return(_)) {
-                    has_return = true;
-                }
-            });
-            if has_return {
-                continue;
-            }
-            let mut reaches_exit = false;
-            body.walk_exprs(&mut |e| {
-                if let ExprKind::Call(_, _) = &e.kind {
-                    if let Some(site) = module.side.call_site_of.get(&e.id) {
-                        match module.side.call_sites[site.0 as usize].callee {
-                            CalleeKind::Builtin(b) if b.is_noreturn() => reaches_exit = true,
-                            CalleeKind::Direct(f) if error_fns.contains(&f) => reaches_exit = true,
-                            _ => {}
-                        }
+                has_return |= matches!(s.kind, StmtKind::Return(_));
+                s.walk_own_exprs(&mut |e| {
+                    if !matches!(e.kind, ExprKind::Call(_, _)) {
+                        return;
                     }
-                }
+                    let Some(site) = module.side.call_site_of.get(&e.id) else {
+                        return;
+                    };
+                    match module.side.call_sites[site.0 as usize].callee {
+                        CalleeKind::Builtin(b) => calls_noreturn |= b.is_noreturn(),
+                        CalleeKind::Direct(f) => callees.push(f),
+                        CalleeKind::Indirect => {}
+                    }
+                });
             });
+            (!has_return).then_some(Summary {
+                id: func.id,
+                calls_noreturn,
+                callees,
+            })
+        })
+        .collect();
+    // Fixpoint: a call to an already-known error function counts.
+    let mut error_fns = HashSet::new();
+    loop {
+        let known = error_fns.len();
+        candidates.retain(|c| {
+            let reaches_exit = c.calls_noreturn || c.callees.iter().any(|f| error_fns.contains(f));
             if reaches_exit {
-                error_fns.insert(func.id);
-                changed = true;
+                error_fns.insert(c.id);
             }
-        }
-        if !changed {
+            !reaches_exit
+        });
+        if error_fns.len() == known {
             return error_fns;
         }
     }
 }
 
-/// Per-function analysis context: read counts per variable and the
-/// module reference.
+/// Per-function analysis context: the function body, its read counts
+/// per variable and the module reference.
 struct FnContext<'m> {
     module: &'m Module,
-    /// Total reads of each variable in the whole function.
-    reads: HashMap<VarKey, i64>,
+    body: &'m Stmt,
+    /// Total reads of each variable in the whole function, counted on
+    /// first use: only the store-use heuristic reads them, and only
+    /// for an `if` with an `else` that no earlier heuristic decided.
+    reads: OnceCell<HashMap<VarKey, i64>>,
     /// Module-wide noreturn wrappers (see [`error_functions`]).
-    error_fns: &'m std::collections::HashSet<minic::sema::FuncId>,
+    error_fns: &'m HashSet<FuncId>,
     /// Active heuristics and probabilities.
     config: &'m PredictorConfig,
 }
@@ -320,18 +338,26 @@ enum VarKey {
 impl<'m> FnContext<'m> {
     fn new(
         module: &'m Module,
-        body: &Stmt,
-        error_fns: &'m std::collections::HashSet<minic::sema::FuncId>,
+        body: &'m Stmt,
+        error_fns: &'m HashSet<FuncId>,
         config: &'m PredictorConfig,
     ) -> Self {
-        let mut reads = HashMap::new();
-        body.walk_exprs(&mut |e| collect_reads(module, e, &mut reads));
         FnContext {
             module,
-            reads,
+            body,
+            reads: OnceCell::new(),
             error_fns,
             config,
         }
+    }
+
+    fn reads(&self) -> &HashMap<VarKey, i64> {
+        self.reads.get_or_init(|| {
+            let mut reads = HashMap::new();
+            self.body
+                .walk_exprs(&mut |e| collect_reads(self.module, e, &mut reads));
+            reads
+        })
     }
 
     fn constant(&self, branch: &Branch) -> Option<Prediction> {
@@ -518,7 +544,7 @@ impl<'m> FnContext<'m> {
         let mut arm_reads: HashMap<VarKey, i64> = HashMap::new();
         s.walk_exprs(&mut |e| collect_reads(self.module, e, &mut arm_reads));
         writes.iter().any(|v| {
-            let total = self.reads.get(v).copied().unwrap_or(0);
+            let total = self.reads().get(v).copied().unwrap_or(0);
             let inside = arm_reads.get(v).copied().unwrap_or(0);
             total > inside
         })

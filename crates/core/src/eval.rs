@@ -4,106 +4,129 @@
 //! compared profile-by-profile and averaged — with the profile-based
 //! predictor computed leave-one-out from the aggregate of the *other*
 //! profiles.
+//!
+//! Every scorer takes its profiles as `&[P]` for any
+//! `P: Borrow<Profile>`, so owned profiles and shared `Arc<Profile>`s
+//! score alike without a copy.
 
+use crate::branch::predict_module;
 use crate::callsite::{estimate_sites, rankable_sites};
 use crate::inter::{estimate_invocations, InterEstimates, InterEstimator};
-use crate::intra::{estimate_program, IntraEstimates, IntraEstimator};
+use crate::intra::{estimate_program_from, IntraEstimates, IntraEstimator, IntraOptions};
 use crate::metric::weight_matching;
 use flowgraph::Program;
-use profiler::{aggregate, Profile};
+use profiler::{aggregate, AggregateProfile, Profile};
+use std::borrow::Borrow;
 
-/// Leave-one-out split: for profile `i`, the aggregate of the others
-/// (or of `i` itself when it is the only one).
-fn loo_aggregate(profiles: &[Profile], i: usize) -> profiler::AggregateProfile {
-    let others: Vec<&Profile> = profiles
-        .iter()
-        .enumerate()
-        .filter(|&(j, _)| j != i)
-        .map(|(_, p)| p)
-        .collect();
-    if others.is_empty() {
-        aggregate(&[&profiles[i]])
-    } else {
-        aggregate(&others)
-    }
+/// Leave-one-out split: for each profile `i`, the aggregate of the
+/// others (or of `i` itself when it is the only one).
+fn loo_aggregates<P: Borrow<Profile>>(profiles: &[P]) -> Vec<AggregateProfile> {
+    (0..profiles.len())
+        .map(|i| {
+            let others: Vec<&Profile> = profiles
+                .iter()
+                .enumerate()
+                .filter(|&(j, _)| j != i)
+                .map(|(_, p)| p.borrow())
+                .collect();
+            if others.is_empty() {
+                aggregate(&[profiles[i].borrow()])
+            } else {
+                aggregate(&others)
+            }
+        })
+        .collect()
 }
 
 /// Figure 4: intra-procedural weight-matching score for one static
 /// estimator, at `cutoff`. Per-function scores are weighted by the
 /// function's dynamic invocation count in the measuring profile, then
 /// averaged across profiles.
-pub fn intra_score(
+pub fn intra_score<P: Borrow<Profile>>(
     program: &Program,
     estimates: &IntraEstimates,
-    profiles: &[Profile],
+    profiles: &[P],
     cutoff: f64,
 ) -> f64 {
-    let mut per_profile = Vec::new();
-    for p in profiles {
-        let mut weighted = 0.0;
-        let mut weight = 0.0;
-        for f in program.defined_ids() {
-            let w = p.calls_of(f) as f64;
-            if w == 0.0 {
-                continue;
-            }
-            let actual: Vec<f64> = p.blocks_of(f).iter().map(|&c| c as f64).collect();
-            let est = estimates.blocks_of(f);
-            if est.is_empty() {
-                continue;
-            }
-            let score = weight_matching(est, &actual, cutoff);
-            weighted += w * score;
-            weight += w;
-        }
-        if weight > 0.0 {
-            per_profile.push(weighted / weight);
-        }
-    }
+    let per_profile: Vec<f64> = profiles
+        .iter()
+        .filter_map(|p| intra_weighted(program, p.borrow(), |f| estimates.blocks_of(f), cutoff))
+        .collect();
     mean(&per_profile)
+}
+
+/// One profile's intra score: per-function weight matching of `est`
+/// against the profile's block counts, weighted by the function's
+/// invocation count. `None` if no estimated function ran.
+fn intra_weighted<'e>(
+    program: &Program,
+    p: &Profile,
+    est: impl Fn(minic::sema::FuncId) -> &'e [f64],
+    cutoff: f64,
+) -> Option<f64> {
+    let mut weighted = 0.0;
+    let mut weight = 0.0;
+    for f in program.defined_ids() {
+        let w = p.calls_of(f) as f64;
+        if w == 0.0 {
+            continue;
+        }
+        let actual: Vec<f64> = p.blocks_of(f).iter().map(|&c| c as f64).collect();
+        let est = est(f);
+        if est.is_empty() {
+            continue;
+        }
+        let score = weight_matching(est, &actual, cutoff);
+        weighted += w * score;
+        weight += w;
+    }
+    (weight > 0.0).then(|| weighted / weight)
 }
 
 /// Figure 4's "profile" column: each profile scored against the
 /// leave-one-out aggregate of the others.
-pub fn intra_score_profile_predictor(program: &Program, profiles: &[Profile], cutoff: f64) -> f64 {
-    let mut per_profile = Vec::new();
-    for (i, p) in profiles.iter().enumerate() {
-        let agg = loo_aggregate(profiles, i);
-        let mut weighted = 0.0;
-        let mut weight = 0.0;
-        for f in program.defined_ids() {
-            let w = p.calls_of(f) as f64;
-            if w == 0.0 {
-                continue;
-            }
-            let actual: Vec<f64> = p.blocks_of(f).iter().map(|&c| c as f64).collect();
-            let est = &agg.block_freqs[f.0 as usize];
-            if est.is_empty() {
-                continue;
-            }
-            let score = weight_matching(est, &actual, cutoff);
-            weighted += w * score;
-            weight += w;
-        }
-        if weight > 0.0 {
-            per_profile.push(weighted / weight);
-        }
-    }
+pub fn intra_score_profile_predictor<P: Borrow<Profile>>(
+    program: &Program,
+    profiles: &[P],
+    cutoff: f64,
+) -> f64 {
+    intra_score_profile_with_loo(program, profiles, &loo_aggregates(profiles), cutoff)
+}
+
+fn intra_score_profile_with_loo<P: Borrow<Profile>>(
+    program: &Program,
+    profiles: &[P],
+    loo: &[AggregateProfile],
+    cutoff: f64,
+) -> f64 {
+    let per_profile: Vec<f64> = profiles
+        .iter()
+        .zip(loo)
+        .filter_map(|(p, agg)| {
+            intra_weighted(
+                program,
+                p.borrow(),
+                |f| &agg.block_freqs[f.0 as usize],
+                cutoff,
+            )
+        })
+        .collect();
     mean(&per_profile)
 }
 
 /// Figure 5: function-invocation weight matching at `cutoff`. Entities
 /// are the defined functions.
-pub fn invocation_score(
+pub fn invocation_score<P: Borrow<Profile>>(
     program: &Program,
     estimates: &InterEstimates,
-    profiles: &[Profile],
+    profiles: &[P],
     cutoff: f64,
 ) -> f64 {
     let funcs = program.defined_ids();
     let est: Vec<f64> = funcs.iter().map(|&f| estimates.of(f)).collect();
     let mut scores = Vec::new();
     for p in profiles {
+        let p = p.borrow();
         let actual: Vec<f64> = funcs.iter().map(|&f| p.calls_of(f) as f64).collect();
         scores.push(weight_matching(&est, &actual, cutoff));
     }
@@ -111,15 +134,24 @@ pub fn invocation_score(
 }
 
 /// Figure 5's "profiling" column for function invocations.
-pub fn invocation_score_profile_predictor(
+pub fn invocation_score_profile_predictor<P: Borrow<Profile>>(
     program: &Program,
-    profiles: &[Profile],
+    profiles: &[P],
+    cutoff: f64,
+) -> f64 {
+    invocation_score_profile_with_loo(program, profiles, &loo_aggregates(profiles), cutoff)
+}
+
+fn invocation_score_profile_with_loo<P: Borrow<Profile>>(
+    program: &Program,
+    profiles: &[P],
+    loo: &[AggregateProfile],
     cutoff: f64,
 ) -> f64 {
     let funcs = program.defined_ids();
     let mut scores = Vec::new();
-    for (i, p) in profiles.iter().enumerate() {
-        let agg = loo_aggregate(profiles, i);
+    for (p, agg) in profiles.iter().zip(loo) {
+        let p = p.borrow();
         let est: Vec<f64> = funcs
             .iter()
             .map(|&f| agg.func_freqs[f.0 as usize])
@@ -132,17 +164,18 @@ pub fn invocation_score_profile_predictor(
 
 /// Figure 9: call-site weight matching at `cutoff`, over direct
 /// non-builtin sites only.
-pub fn callsite_score(
+pub fn callsite_score<P: Borrow<Profile>>(
     program: &Program,
     intra: &IntraEstimates,
     inter: &InterEstimates,
-    profiles: &[Profile],
+    profiles: &[P],
     cutoff: f64,
 ) -> f64 {
     let sites = estimate_sites(program, intra, inter);
     let est: Vec<f64> = sites.iter().map(|s| s.freq).collect();
     let mut scores = Vec::new();
     for p in profiles {
+        let p = p.borrow();
         let actual: Vec<f64> = sites.iter().map(|s| p.site(s.site) as f64).collect();
         scores.push(weight_matching(&est, &actual, cutoff));
     }
@@ -150,15 +183,24 @@ pub fn callsite_score(
 }
 
 /// Figure 9's "profile" column for call sites.
-pub fn callsite_score_profile_predictor(
+pub fn callsite_score_profile_predictor<P: Borrow<Profile>>(
     program: &Program,
-    profiles: &[Profile],
+    profiles: &[P],
+    cutoff: f64,
+) -> f64 {
+    callsite_score_profile_with_loo(program, profiles, &loo_aggregates(profiles), cutoff)
+}
+
+fn callsite_score_profile_with_loo<P: Borrow<Profile>>(
+    program: &Program,
+    profiles: &[P],
+    loo: &[AggregateProfile],
     cutoff: f64,
 ) -> f64 {
     let sites = rankable_sites(program);
     let mut scores = Vec::new();
-    for (i, p) in profiles.iter().enumerate() {
-        let agg = loo_aggregate(profiles, i);
+    for (p, agg) in profiles.iter().zip(loo) {
+        let p = p.borrow();
         let est: Vec<f64> = sites
             .iter()
             .map(|s| agg.call_site_freqs[s.0 as usize])
@@ -186,16 +228,25 @@ pub struct ProgramScores {
 }
 
 /// Computes every headline score for one program and its profiles.
-pub fn score_program(program: &Program, profiles: &[Profile]) -> ProgramScores {
-    let ia_loop = estimate_program(program, IntraEstimator::Loop);
-    let ia_smart = estimate_program(program, IntraEstimator::Smart);
-    let ia_markov = estimate_program(program, IntraEstimator::Markov);
+///
+/// The branch predictions are computed once and shared by the three
+/// intra estimators, and the leave-one-out aggregates once and shared
+/// by the five profile-predictor scores; the result is bit-identical
+/// to calling the public scorers one by one.
+pub fn score_program<P: Borrow<Profile>>(program: &Program, profiles: &[P]) -> ProgramScores {
+    let predictions = predict_module(&program.module);
+    let options = IntraOptions::default();
+    let intra_of = |w| estimate_program_from(program, w, &predictions, &options);
+    let ia_loop = intra_of(IntraEstimator::Loop);
+    let ia_smart = intra_of(IntraEstimator::Smart);
+    let ia_markov = intra_of(IntraEstimator::Markov);
+    let loo = loo_aggregates(profiles);
 
     let intra = [
         intra_score(program, &ia_loop, profiles, 0.05),
         intra_score(program, &ia_smart, profiles, 0.05),
         intra_score(program, &ia_markov, profiles, 0.05),
-        intra_score_profile_predictor(program, profiles, 0.05),
+        intra_score_profile_with_loo(program, profiles, &loo, 0.05),
     ];
 
     // All inter-procedural estimators are built on smart intra
@@ -209,28 +260,29 @@ pub fn score_program(program: &Program, profiles: &[Profile]) -> ProgramScores {
     let ie_markov = inter_of(InterEstimator::Markov);
 
     let inv = |e: &InterEstimates, c| invocation_score(program, e, profiles, c);
+    let inv_profile = |c| invocation_score_profile_with_loo(program, profiles, &loo, c);
     let invocation_simple = [
         inv(&ie_callsite, 0.25),
         inv(&ie_direct, 0.25),
         inv(&ie_allrec, 0.25),
         inv(&ie_allrec2, 0.25),
-        invocation_score_profile_predictor(program, profiles, 0.25),
+        inv_profile(0.25),
     ];
     let invocation_markov_10 = [
         inv(&ie_direct, 0.10),
         inv(&ie_markov, 0.10),
-        invocation_score_profile_predictor(program, profiles, 0.10),
+        inv_profile(0.10),
     ];
     let invocation_markov_25 = [
         inv(&ie_direct, 0.25),
         inv(&ie_markov, 0.25),
-        invocation_score_profile_predictor(program, profiles, 0.25),
+        inv_profile(0.25),
     ];
 
     let callsites = [
         callsite_score(program, &ia_smart, &ie_direct, profiles, 0.25),
         callsite_score(program, &ia_smart, &ie_markov, profiles, 0.25),
-        callsite_score_profile_predictor(program, profiles, 0.25),
+        callsite_score_profile_with_loo(program, profiles, &loo, 0.25),
     ];
 
     ProgramScores {
@@ -252,6 +304,7 @@ fn mean(xs: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::intra::estimate_program;
     use profiler::{run, RunConfig};
 
     fn setup(src: &str, inputs: &[&str]) -> (Program, Vec<Profile>) {

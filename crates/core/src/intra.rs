@@ -103,6 +103,30 @@ pub fn estimate_program_with(
 ) -> IntraEstimates {
     let _sp = obs::span("estimate.intra");
     let predictions = predict_module_with(&program.module, &options.predictor);
+    estimate_from(program, which, &predictions, options)
+}
+
+/// [`estimate_program_with`] against caller-supplied module
+/// predictions, which must come from
+/// [`predict_module_with`]`(&program.module, &options.predictor)`.
+/// Callers that run several estimators over one program predict once
+/// and share the table.
+pub fn estimate_program_from(
+    program: &Program,
+    which: IntraEstimator,
+    predictions: &HashMap<BranchId, Prediction>,
+    options: &IntraOptions,
+) -> IntraEstimates {
+    let _sp = obs::span("estimate.intra");
+    estimate_from(program, which, predictions, options)
+}
+
+fn estimate_from(
+    program: &Program,
+    which: IntraEstimator,
+    predictions: &HashMap<BranchId, Prediction>,
+    options: &IntraOptions,
+) -> IntraEstimates {
     let trips = if options.trip_counts {
         crate::tripcount::trip_counts(&program.module)
     } else {
@@ -114,7 +138,7 @@ pub fn estimate_program_with(
         .iter()
         .map(|f| {
             if f.is_defined() {
-                estimate_with_trips(program, f.id, which, &predictions, options, &trips)
+                estimate_with_trips(program, f.id, which, predictions, options, &trips)
             } else {
                 Vec::new()
             }
@@ -123,7 +147,7 @@ pub fn estimate_program_with(
     IntraEstimates {
         estimator: which,
         block_freqs,
-        predictions,
+        predictions: predictions.clone(),
     }
 }
 

@@ -455,7 +455,15 @@ impl Stmt {
     /// Visits every expression contained in this statement subtree
     /// (conditions, initializers, and expression statements), pre-order.
     pub fn walk_exprs<'a>(&'a self, f: &mut dyn FnMut(&'a Expr)) {
-        self.walk(&mut |s| match &s.kind {
+        self.walk(&mut |s| s.walk_own_exprs(f));
+    }
+
+    /// Visits the expressions this statement holds itself, but not
+    /// those of its nested statements, pre-order. A [`Stmt::walk`]
+    /// that calls this on every statement is [`Stmt::walk_exprs`], so
+    /// one pass can look at statements and expressions together.
+    pub fn walk_own_exprs<'a>(&'a self, f: &mut dyn FnMut(&'a Expr)) {
+        match &self.kind {
             StmtKind::Expr(e) => e.walk(f),
             StmtKind::Decl(ds) => {
                 for d in ds {
@@ -466,7 +474,7 @@ impl Stmt {
             }
             StmtKind::If(c, _, _) | StmtKind::While(c, _) | StmtKind::DoWhile(_, c) => c.walk(f),
             StmtKind::For(_, cond, step, _) => {
-                // init statement is visited by `walk` itself.
+                // The init statement is a nested statement of its own.
                 if let Some(c) = cond {
                     c.walk(f);
                 }
@@ -484,7 +492,7 @@ impl Stmt {
             }
             StmtKind::Return(Some(e)) => e.walk(f),
             _ => {}
-        });
+        }
     }
 }
 

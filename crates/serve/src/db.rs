@@ -657,7 +657,7 @@ impl ServeDb {
         let entry = self.entry(name)?;
         let mut profiles = Vec::new();
         for input in entry.inputs() {
-            profiles.push((*self.profile(name, input)?).clone());
+            profiles.push(self.profile(name, input)?);
         }
         // Batched profile writes from the loop above would otherwise
         // sit in the write tier until the cache drops — which a
