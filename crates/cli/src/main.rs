@@ -57,7 +57,6 @@
 //! --buckets <spec>   comma-separated strata: recursion,indirect,loopskew,switch (default all)
 //! --jobs <n>         worker threads (default: global pool / SFE_POOL_THREADS)
 //! --mem-budget <mb>  memory budget in MiB driving the backpressure window (default 256)
-//! --naive            run the retained first-cut baseline engine instead
 //! ```
 //!
 //! Global flags (any command):
@@ -814,7 +813,7 @@ fn fig10_json(names: &[&'static str]) -> ExitCode {
 }
 
 fn corpus_report(args: &[String], cache_dir: Option<&str>) -> ExitCode {
-    use bench::corpus::{run_corpus, CorpusConfig, EngineMode, HEURISTICS};
+    use bench::corpus::{run_corpus, CorpusConfig, HEURISTICS};
 
     let mut cfg = CorpusConfig {
         cache_dir: cache_dir.map(std::path::PathBuf::from),
@@ -842,7 +841,7 @@ fn corpus_report(args: &[String], cache_dir: Option<&str>) -> ExitCode {
                 Err(c) => return c,
             },
             "--mem-budget" => match num("--mem-budget") {
-                Ok(mb) => cfg.mem_budget_bytes = mb.max(1) * 1024 * 1024,
+                Ok(mb) => cfg.mem_budget_bytes = mb.max(1).saturating_mul(1024 * 1024),
                 Err(c) => return c,
             },
             "--buckets" => match it.next().map(|s| bench::corpus::parse_buckets(s)) {
@@ -856,11 +855,10 @@ fn corpus_report(args: &[String], cache_dir: Option<&str>) -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--naive" => cfg.mode = EngineMode::Naive,
             other => {
                 eprintln!(
                     "sfe: unknown corpus flag `{other}` (see --count, --seed, --buckets, \
-                     --jobs, --mem-budget, --naive)"
+                     --jobs, --mem-budget)"
                 );
                 return ExitCode::from(2);
             }
@@ -869,8 +867,7 @@ fn corpus_report(args: &[String], cache_dir: Option<&str>) -> ExitCode {
 
     let r = run_corpus(&cfg);
     println!(
-        "corpus: {} engine, {} programs (seeds {}..{})",
-        r.mode.tag(),
+        "corpus: {} programs (seeds {}..{})",
         r.requested,
         cfg.first_seed,
         cfg.first_seed + cfg.count

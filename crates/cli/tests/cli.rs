@@ -150,3 +150,31 @@ fn usage_on_missing_args() {
     let out = sfe(&[]);
     assert_eq!(out.status.code(), Some(2));
 }
+
+#[test]
+fn corpus_caps_a_huge_memory_budget_and_rejects_unknown_flags() {
+    // 2^44 MiB is 2^64 bytes: the budget must saturate to the window
+    // cap, not wrap to a one-slot window.
+    let out = sfe(&[
+        "corpus",
+        "--count",
+        "4",
+        "--jobs",
+        "1",
+        "--mem-budget",
+        "17592186044416",
+    ]);
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{text}{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(text.contains("corpus: 4 programs"), "{text}");
+    assert!(text.contains("| window 4096 |"), "{text}");
+
+    let out = sfe(&["corpus", "--count", "4", "--naive"]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown corpus flag `--naive`"), "{err}");
+}

@@ -120,31 +120,57 @@ fn incremental_update_is_byte_identical_to_cold_recompute() {
 #[test]
 fn suite_program_edit_is_byte_identical_and_cheap() {
     // Same differential on a real suite program (many functions), plus
-    // the work-ratio property on a single concrete case: editing one
-    // function of `compress` must cost well under half of a cold load
-    // in work units (the <10% acceptance bound is asserted on the full
-    // 14-program suite denominator in the serve bench).
-    let program = suite::all()
-        .into_iter()
+    // the work-ratio contract: on a database holding the whole
+    // 14-program suite, editing one function of `compress` must redo
+    // under 10% of the suite's cold load in work units.
+    let programs = suite::all();
+    let compress = programs
+        .iter()
         .find(|p| p.name == "compress")
         .expect("compress in suite");
-    let src0 = program.source;
-    let src1 = serve::edits::edit_function_source(src0, 3).expect("editable function");
+    let src1 = serve::edits::edit_function_source(compress.source, 3).expect("editable function");
 
+    // Full-pipeline denominator: cold-load every suite program.
     let warm = Arc::new(ServeDb::new(Some(2), None));
-    let cold_out;
-    let warm_out;
-    {
-        warm.upsert("compress", src0).unwrap();
-        warm_out = warm.upsert("compress", &src1).unwrap();
-        let cold = Arc::new(ServeDb::new(Some(1), None));
-        cold_out = cold.upsert("compress", &src1).unwrap();
-        assert_eq!(
-            warm.entry("compress").unwrap().estimates_digest(),
-            cold.entry("compress").unwrap().estimates_digest(),
-            "suite edit: estimates diverge"
-        );
+    let mut full_units = 0u64;
+    for p in &programs {
+        let outcome = warm
+            .upsert_with_inputs(p.name, p.source, Some(p.inputs()))
+            .unwrap_or_else(|e| panic!("cold load of {} failed: {e:?}", p.name));
+        full_units += outcome.work.total_units();
     }
+    let warm_out = warm.upsert("compress", &src1).unwrap();
+
+    // A cold database loaded with the edited source.
+    let cold = Arc::new(ServeDb::new(Some(1), None));
+    let mut cold_out = None;
+    for p in &programs {
+        let src = if p.name == "compress" {
+            src1.as_str()
+        } else {
+            p.source
+        };
+        let outcome = cold
+            .upsert_with_inputs(p.name, src, Some(p.inputs()))
+            .unwrap_or_else(|e| panic!("cold reload of {} failed: {e:?}", p.name));
+        if p.name == "compress" {
+            cold_out = Some(outcome);
+        }
+    }
+    let cold_out = cold_out.expect("compress reloaded");
+
+    assert_eq!(
+        warm.entry("compress").unwrap().estimates_digest(),
+        cold.entry("compress").unwrap().estimates_digest(),
+        "suite edit: estimates diverge"
+    );
+    // `state_digest` folds every program's source and materialized
+    // frequencies.
+    assert_eq!(
+        warm.state_digest(),
+        cold.state_digest(),
+        "incremental update diverged from cold recompute"
+    );
     assert_eq!(warm_out.fingerprint, cold_out.fingerprint);
     assert!(
         warm_out.work.total_units() * 2 < cold_out.work.total_units(),
@@ -152,5 +178,16 @@ fn suite_program_edit_is_byte_identical_and_cheap() {
         warm_out.work,
         cold_out.work
     );
-    assert!(warm_out.work.funcs_reused > 0);
+    assert!(
+        warm_out.work.funcs_reused > 0 && warm_out.work.funcs_lowered < warm_out.funcs as u64,
+        "update re-lowered the whole module: {:?}",
+        warm_out.work
+    );
+    let inc_units = warm_out.work.total_units();
+    assert!(
+        inc_units * 10 < full_units,
+        "single-function update did {inc_units} of {full_units} units \
+         ({:.1}%; the incremental contract is < 10%)",
+        inc_units as f64 * 100.0 / full_units as f64
+    );
 }
