@@ -35,7 +35,8 @@ use cache::codec::Artifact;
 use cache::{ArtifactKey, ArtifactKind, Cache};
 use estimators::eval;
 use estimators::inter::{estimate_invocations, InterEstimator};
-use estimators::intra::{estimate_program, IntraEstimator};
+use estimators::intra::{estimate_program_from, IntraEstimator, IntraOptions};
+use estimators::predict_module;
 pub use fuzzgen::corpus::parse_buckets;
 use fuzzgen::corpus::{bucket_indices, bucket_labels, Feature, StructuralFeatures};
 use profiler::{ExecScratch, RunConfig};
@@ -342,9 +343,12 @@ impl CorpusReport {
 
 /// Computes the ten heuristic score columns for one program.
 fn score_columns(program: &flowgraph::Program, profiles: &[profiler::Profile]) -> [f64; 10] {
-    let ia_loop = estimate_program(program, IntraEstimator::Loop);
-    let ia_smart = estimate_program(program, IntraEstimator::Smart);
-    let ia_markov = estimate_program(program, IntraEstimator::Markov);
+    let predictions = predict_module(&program.module);
+    let options = IntraOptions::default();
+    let intra_of = |w| estimate_program_from(program, w, &predictions, &options);
+    let ia_loop = intra_of(IntraEstimator::Loop);
+    let ia_smart = intra_of(IntraEstimator::Smart);
+    let ia_markov = intra_of(IntraEstimator::Markov);
     let inter = |w| estimate_invocations(program, &ia_smart, w);
     let ie_callsite = inter(InterEstimator::CallSite);
     let ie_direct = inter(InterEstimator::Direct);
@@ -550,9 +554,20 @@ mod tests {
 
     /// The corpus scores ten columns with its own estimator calls;
     /// they must equal the matching fields of the full 18-score
-    /// evaluation, bit for bit.
+    /// evaluation bit for bit, predicting each program's branches once.
     #[test]
     fn score_columns_match_score_program_bit_for_bit() {
+        // Span paths are per thread: predictions under this test's own
+        // root span are this test's alone.
+        let under_test = |p: &String| p.starts_with("test.score_columns/");
+        let predictions = || {
+            let spans = obs::snapshot().spans.into_iter();
+            spans
+                .filter(|(p, _)| under_test(p) && p.ends_with("/estimate.branch"))
+                .map(|(_, s)| s.count)
+                .sum::<u64>()
+        };
+        obs::set_enabled(true);
         for seed in 1..=24 {
             let src = fuzzgen::generate(seed).render();
             let module = minic::compile(&src).expect("generated programs always parse");
@@ -574,11 +589,18 @@ mod tests {
                 s.callsites[0],
                 s.callsites[1],
             ];
+            let before = predictions();
+            let columns = {
+                let _sp = obs::span("test.score_columns");
+                score_columns(&program, &profiles)
+            };
+            assert_eq!(predictions() - before, 1, "seed {seed}: one prediction");
             assert_eq!(
-                score_columns(&program, &profiles).map(f64::to_bits),
+                columns.map(f64::to_bits),
                 expected.map(f64::to_bits),
                 "seed {seed}"
             );
         }
+        obs::set_enabled(false);
     }
 }

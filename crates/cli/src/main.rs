@@ -88,6 +88,7 @@ use flowgraph::Program;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
+    exit_quietly_on_closed_stdout();
     // Pull the global telemetry flags out first; everything left is
     // the positional `<command> <file> [arg]` form.
     let mut trace = false;
@@ -144,6 +145,20 @@ fn main() -> ExitCode {
         }
     }
     code
+}
+
+/// When a reader stops early (`sfe suite | head -1`), std's print macros
+/// panic on the broken pipe. Exit instead as a writer killed by SIGPIPE
+/// does (status 128 + 13, no message); other panics keep the default hook.
+fn exit_quietly_on_closed_stdout() {
+    let default = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let message = info.payload().downcast_ref::<String>();
+        if message.is_some_and(|m| m.starts_with("failed printing to stdout: Broken pipe")) {
+            std::process::exit(141);
+        }
+        default(info);
+    }));
 }
 
 fn dispatch(args: &[String], cache_dir: Option<&str>, no_cache: bool, opt_level: u8) -> ExitCode {

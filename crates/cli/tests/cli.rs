@@ -1,6 +1,7 @@
 //! End-to-end tests of the `sfe` binary via `CARGO_BIN_EXE_sfe`.
 
-use std::process::Command;
+use std::io::{BufRead, BufReader};
+use std::process::{Command, Stdio};
 
 fn sfe(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_sfe"))
@@ -177,4 +178,30 @@ fn corpus_caps_a_huge_memory_budget_and_rejects_unknown_flags() {
     assert_eq!(out.status.code(), Some(2));
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("unknown corpus flag `--naive`"), "{err}");
+}
+
+/// A reader that stops after one line (`sfe … | head -1`) must not make
+/// `sfe` panic. The pretty-printed program is megabytes long, far more
+/// than a pipe buffer holds, so a write after the close is certain.
+#[test]
+fn closed_stdout_exits_quietly() {
+    let body = "x = x + 1;\n".repeat(100_000);
+    let mut f = tempfile::NamedFile::new("long.c");
+    f.write(format!("int main(void) {{ int x; x = 0; {body} return x; }}").as_bytes());
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_sfe"))
+        .args(["pretty", f.path()])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("sfe runs");
+    let mut line = String::new();
+    BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut line)
+        .expect("first line");
+    assert!(line.contains("main"), "{line}");
+    let out = child.wait_with_output().expect("sfe exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
 }

@@ -23,7 +23,6 @@
 //!    false); this carries no 0.8 confidence in the frequency models.
 
 use minic::ast::{BinOp, Expr, ExprKind, Stmt, StmtKind, UnOp};
-use minic::builtins::Builtin;
 use minic::sema::{Branch, BranchId, CalleeKind, FuncId, Module, Resolution};
 use std::cell::OnceCell;
 use std::collections::{HashMap, HashSet};
@@ -645,12 +644,6 @@ fn collect_reads(module: &Module, e: &Expr, out: &mut HashMap<VarKey, i64>) {
         }
         _ => {}
     }
-}
-
-/// A builtin exists purely so the doc-comment can reference the set of
-/// error builtins without importing them at call sites.
-pub fn is_error_builtin(b: Builtin) -> bool {
-    b.is_noreturn()
 }
 
 #[cfg(test)]

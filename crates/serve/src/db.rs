@@ -79,7 +79,7 @@ fn inter_idx(which: InterEstimator) -> usize {
 
 /// Recompute-vs-reuse accounting for one update (and, accumulated, for
 /// the database lifetime). `total_units` is the scalar the <10%
-/// incremental-work acceptance criterion is measured on: blocks
+/// incremental-work acceptance bar is measured on: blocks
 /// lowered + blocks flow-solved + inter-procedural units.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkCounters {
